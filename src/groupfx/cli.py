@@ -211,6 +211,13 @@ def _parse_offsets(raw) -> list[float]:
     return offsets
 
 
+def _parse_seed(raw) -> int:
+    seed = int(raw)
+    if seed < 0:
+        raise UsageError("--seed: must be a nonnegative integer")
+    return seed
+
+
 def _parse_groups(raw_groups) -> list[list[str]]:
     # Empty groups pass through; they fail downstream as a data error
     # (exit 1) rather than a usage error.
@@ -276,7 +283,9 @@ def parse_args(argv=None) -> RunConfig:
             raise UsageError("--case and --paper-suite are mutually exclusive")
         if merged["replicates"] < 1:
             raise UsageError("--replicates: must be >= 1")
-        config.seed = int(merged["seed"])
+        if merged["n"] < 1:
+            raise UsageError("--n: must be >= 1")
+        config.seed = _parse_seed(merged["seed"])
         config.options = {
             "case": merged["case"],
             "paper_suite": bool(merged["paper_suite"]),
@@ -297,7 +306,7 @@ def parse_args(argv=None) -> RunConfig:
         offsets = _parse_offsets(merged["c_offset"])
         config.input_path = merged["csv"]
         config.response = merged["response"]
-        config.seed = int(merged["seed"])
+        config.seed = _parse_seed(merged["seed"])
         config.options = {
             "group_tokens": groups,
             "anchor_token": merged["anchor"],

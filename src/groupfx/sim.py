@@ -7,15 +7,15 @@ per run; replicated responses are drawn on top of it and every group effect
 is re-estimated per replicate.
 
 Randomness comes from the counter-based Philox generator. The run seed is
-split into one stream for the design and one per replicate, so results are
-bit-identical for a fixed seed regardless of how replicates are scheduled.
+split into two streams: child 0 of ``SeedSequence(seed)`` draws the design
+and child 1 draws all replicate noise, row by row (replicate i takes the
+i-th block of n normals). Replicate i's noise is therefore the same for
+every replicate count R > i, and the same across cases that share a seed.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,15 +36,9 @@ GROUPS = {
 
 N_VARS = 10
 
-
-def worker_count() -> int:
-    """Worker cap from GROUPFX_THREADS (default 1)."""
-    raw = os.environ.get("GROUPFX_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+# Noise is drawn and reduced in blocks of at most this many normals, which
+# bounds memory for any replicate count; chunking does not change the draw.
+_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -86,6 +80,10 @@ class SimCaseConfig:
             raise ValueError(f"beta must have {N_VARS + 1} entries (intercept first)")
         if self.replicates < 1:
             raise ValueError("at least one replicate required")
+        if self.n < 1:
+            raise ValueError("sample size n must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
         if self.sigma2 < 0.0:
             raise ValueError("sigma2 must be nonnegative")
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
@@ -121,49 +119,38 @@ class SimReport:
 
 
 class RunningMoments:
-    """One-pass mean/variance accumulator (Welford) with an associative
-    merge, so partial results can be combined in any grouping."""
+    """Per-column count, mean and sum of squared deviations (M2) of rows fed
+    in blocks; each block merges by the Chan-Golub-LeVeque (1983) pairwise
+    formula, so the result does not depend on how rows are blocked."""
 
-    def __init__(self):
+    def __init__(self, width: int):
         self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
+        self.mean = np.zeros(width)
+        self._m2 = np.zeros(width)
 
-    def add(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (x - self.mean)
-
-    def merge(self, other: "RunningMoments") -> None:
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count, self.mean, self._m2 = other.count, other.mean, other._m2
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.mean += delta * other.count / total
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
+    def update(self, block: np.ndarray) -> None:
+        k = block.shape[0]
+        mean = block.mean(axis=0)
+        m2 = ((block - mean) ** 2).sum(axis=0)
+        total = self.count + k
+        delta = mean - self.mean
+        self.mean = self.mean + delta * (k / total)
+        self._m2 = self._m2 + m2 + delta * delta * (self.count * k / total)
         self.count = total
 
     @property
-    def variance(self) -> float:
+    def variance(self) -> np.ndarray:
         """Sample variance (ddof=1); zero for fewer than two observations."""
         if self.count < 2:
-            return 0.0
+            return np.zeros_like(self._m2)
         return self._m2 / (self.count - 1)
 
 
-def _streams(config: SimCaseConfig):
-    """Split the run seed: child 0 drives the design, child i >= 1 drives
-    replicate i's errors."""
-    root = np.random.SeedSequence(config.seed)
-    return root.spawn(config.replicates + 1)
-
-
-def _rng(seed_seq) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed_seq))
+def _child_rng(seed: int, child: int) -> np.random.Generator:
+    """Philox generator on child ``child`` of ``SeedSequence(seed)``, the
+    same stream as ``SeedSequence(seed).spawn(k)[child]`` for any k > child."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(seed, spawn_key=(child,))))
 
 
 def generate_design(config: SimCaseConfig) -> Dataset:
@@ -175,8 +162,7 @@ def generate_design(config: SimCaseConfig) -> Dataset:
     dataset is directly fittable; replicate noise is added by
     :func:`run_case`.
     """
-    design_ss = _streams(config)[0]
-    z = _rng(design_ss).standard_normal((config.n, N_VARS))
+    z = _child_rng(config.seed, 0).standard_normal((config.n, N_VARS))
     w1, w2 = config.w1, config.w2
     x = np.empty_like(z)
     x[:, 0] = z[:, 0]
@@ -198,16 +184,17 @@ def generate_design(config: SimCaseConfig) -> Dataset:
     )
 
 
-def _effect_plan(design: Dataset, beta: np.ndarray):
+def _effect_plan(corrs: dict, beta: np.ndarray):
     """Weight vectors, target columns and true values for every recorded
-    effect. Weighted-group weights come from the realized column norms."""
+    effect. Weighted-group weights come from the realized column norms,
+    through each group's correlation matrix in ``corrs``."""
     plan = []
     for gname, variables in GROUPS.items():
         cols = list(variables)  # 1-based variable == X column (intercept at 0)
         k = gname[1]
         w_avg = WeightVector.average(len(cols)).weights
         plan.append((f"tau{k}", cols, w_avg, float(w_avg @ beta[cols])))
-        w_var = variability_weights(correlation(design, cols)).weights
+        w_var = variability_weights(corrs[gname]).weights
         plan.append((f"tau{k}_w", cols, w_var, float(w_var @ beta[cols])))
     for j in range(N_VARS + 1):
         name = "beta0" if j == 0 else f"beta{j}"
@@ -229,44 +216,32 @@ def run_case(config: SimCaseConfig) -> SimReport:
     B = np.linalg.solve(R, Q.T)
 
     beta = np.asarray(config.beta)
-    plan = _effect_plan(design, beta)
+    corrs = {g: correlation(design, list(v)) for g, v in GROUPS.items()}
+    plan = _effect_plan(corrs, beta)
     weight_rows = np.zeros((len(plan), q))
     for row, (_, cols, w, _) in enumerate(plan):
         weight_rows[row, cols] = w
 
     y_mean = X @ beta  # intercept column carries beta[0]
     sigma = math.sqrt(config.sigma2)
-    streams = _streams(config)
+    effect_map = weight_rows @ B  # row e maps a response vector to effect e
+    noise = _child_rng(config.seed, 1)
+    moments = RunningMoments(len(plan))
+    rows = max(1, _CHUNK_ELEMENTS // config.n)
+    for lo in range(0, config.replicates, rows):
+        k = min(rows, config.replicates - lo)
+        # one replicate response per row: y_mean plus that replicate's noise
+        moments.update(noise.normal(y_mean, sigma, (k, config.n)) @ effect_map.T)
 
-    values = np.empty((config.replicates, len(plan)))
-
-    def run_range(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            eps = _rng(streams[i + 1]).normal(0.0, sigma, config.n)
-            beta_hat = B @ (y_mean + eps)
-            values[i] = weight_rows @ beta_hat
-
-    workers = worker_count()
-    if workers == 1 or config.replicates < 2 * workers:
-        run_range(0, config.replicates)
-    else:
-        bounds = np.linspace(0, config.replicates, workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda k: run_range(bounds[k], bounds[k + 1]), range(workers)))
-
-    effects = []
-    for col, (label, _, _, truth) in enumerate(plan):
-        acc = RunningMoments()
-        for v in values[:, col]:
-            acc.add(float(v))
-        effects.append(
-            EffectSummary(label=label, mean=acc.mean, variance=acc.variance,
-                          true_value=truth)
-        )
+    effects = tuple(
+        EffectSummary(label=label, mean=float(mean), variance=float(var),
+                      true_value=truth)
+        for (label, _, _, truth), mean, var in zip(plan, moments.mean, moments.variance)
+    )
 
     corr_ranges = {}
-    for gname, variables in GROUPS.items():
-        R_g = correlation(design, list(variables)).values
+    for gname, corr in corrs.items():
+        R_g = corr.values
         off = R_g[~np.eye(R_g.shape[0], dtype=bool)]
         corr_ranges[gname] = (float(off.min()), float(off.max()))
 
@@ -274,7 +249,7 @@ def run_case(config: SimCaseConfig) -> SimReport:
         label=config.label or f"w1={config.w1},w2={config.w2}",
         replicates=config.replicates,
         seed=config.seed,
-        effects=tuple(effects),
+        effects=effects,
         corr_ranges=corr_ranges,
     )
 

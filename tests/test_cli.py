@@ -148,6 +148,20 @@ class TestMainExitCodes:
         assert code == 1
         assert json.loads(err.strip())["error"] == "DataFormatError"
 
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--case", "1", "--seed", "-1"],
+        ["simulate", "--case", "1", "--n", "0"],
+        ["simulate", "--case", "1", "--n", "-3"],
+        ["clr", "--response", "y", "--group", "3,4,5", "--seed", "-1"],
+    ])
+    def test_bad_seed_or_sample_size_is_2(self, args, dataset_csv, capsys):
+        if args[0] == "clr":
+            args = args + ["--csv", str(dataset_csv)]
+        code, out, err = run_main(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert "groupfx:" in err and "Traceback" not in err
+
     def test_out_of_range_r_is_1(self, capsys):
         code, out, err = run_main(["uniform", "--p", "8", "--r", "1.5"], capsys)
         assert code == 1

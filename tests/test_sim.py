@@ -1,6 +1,8 @@
 """Tests for the Monte Carlo harness: design generation, replication,
 aggregation, determinism and the qualitative multicollinearity claims."""
 
+import warnings
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -15,8 +17,10 @@ from groupfx import (
     paper_case_config,
     run_case,
     run_paper_suite,
+    variability_weights,
 )
-from groupfx.sim import GROUPS, RunningMoments, worker_count
+from groupfx import sim
+from groupfx.sim import GROUPS, RunningMoments
 
 GROUP_EFFECTS = ("tau1", "tau2", "tau3", "tau4",
                  "tau1_w", "tau2_w", "tau3_w", "tau4_w")
@@ -60,6 +64,10 @@ class TestGenerateDesign:
         with pytest.raises(ValueError):
             SimCaseConfig(w1=0.5, w2=0.5, replicates=0)
         with pytest.raises(ValueError):
+            SimCaseConfig(w1=0.5, w2=0.5, n=0)
+        with pytest.raises(ValueError):
+            SimCaseConfig(w1=0.5, w2=0.5, seed=-1)
+        with pytest.raises(ValueError):
             Transform(0)
         with pytest.raises(ValueError):
             Transform(3, scale=0.0)
@@ -68,25 +76,22 @@ class TestGenerateDesign:
 class TestRunningMoments:
     def test_matches_numpy(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal(500)
-        acc = RunningMoments()
-        for v in x:
-            acc.add(float(v))
-        npt.assert_allclose(acc.mean, x.mean(), rtol=1e-12)
-        npt.assert_allclose(acc.variance, x.var(ddof=1), rtol=1e-12)
+        x = rng.standard_normal((500, 3))
+        acc = RunningMoments(3)
+        acc.update(x)
+        npt.assert_allclose(acc.mean, x.mean(axis=0), rtol=1e-12)
+        npt.assert_allclose(acc.variance, x.var(axis=0, ddof=1), rtol=1e-12)
 
     def test_merge_any_split(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal(301)
-        for cut in (1, 57, 300):
-            a, b = RunningMoments(), RunningMoments()
-            for v in x[:cut]:
-                a.add(float(v))
-            for v in x[cut:]:
-                b.add(float(v))
-            a.merge(b)
-            npt.assert_allclose(a.mean, x.mean(), rtol=1e-10)
-            npt.assert_allclose(a.variance, x.var(ddof=1), rtol=1e-10)
+        x = rng.standard_normal((301, 3)) + 10.0
+        for cuts in ((1,), (57,), (300,), (1, 2, 150, 299)):
+            acc = RunningMoments(3)
+            for block in np.split(x, cuts):
+                acc.update(block)
+            assert acc.count == 301
+            npt.assert_allclose(acc.mean, x.mean(axis=0), rtol=1e-10)
+            npt.assert_allclose(acc.variance, x.var(axis=0, ddof=1), rtol=1e-10)
 
 
 class TestRunCase:
@@ -112,13 +117,48 @@ class TestRunCase:
             assert ea == eb
         assert a.corr_ranges == b.corr_ranges
 
-    def test_determinism_under_threads(self, monkeypatch):
-        base = run_case(SimCaseConfig(w1=0.7, w2=0.6, replicates=100, seed=9))
-        monkeypatch.setenv("GROUPFX_THREADS", "4")
-        assert worker_count() == 4
-        threaded = run_case(SimCaseConfig(w1=0.7, w2=0.6, replicates=100, seed=9))
-        for ea, eb in zip(base.effects, threaded.effects):
-            assert ea == eb
+    def test_chunk_invariance(self, monkeypatch):
+        cfg = SimCaseConfig(w1=0.7, w2=0.6, replicates=100, seed=9)
+        whole = run_case(cfg)
+        monkeypatch.setattr(sim, "_CHUNK_ELEMENTS", 7 * cfg.n)
+        chunked = run_case(cfg)
+        for ea, eb in zip(whole.effects, chunked.effects):
+            assert ea.label == eb.label
+            npt.assert_allclose(eb.mean, ea.mean, rtol=1e-12)
+            npt.assert_allclose(eb.variance, ea.variance, rtol=1e-12)
+
+    def test_matches_per_replicate_lstsq(self):
+        # independent oracle: one least-squares fit per replicate, on noise
+        # rows drawn from the documented child-1 Philox stream
+        cfg = paper_case_config(2, seed=4, replicates=30)
+        design = generate_design(cfg)
+        ss = np.random.SeedSequence(cfg.seed, spawn_key=(1,))
+        noise = np.random.Generator(np.random.Philox(ss)).normal(
+            0.0, np.sqrt(cfg.sigma2), (cfg.replicates, cfg.n))
+        coefs = np.array([np.linalg.lstsq(design.X, design.y + e, rcond=None)[0]
+                          for e in noise])
+        report = run_case(cfg)
+        for g, variables in GROUPS.items():
+            cols = list(variables)
+            w_avg = np.full(len(cols), 1.0 / len(cols))
+            w_var = variability_weights(correlation(design, cols)).weights
+            for label, w in ((f"tau{g[1]}", w_avg), (f"tau{g[1]}_w", w_var)):
+                vals = coefs[:, cols] @ w
+                eff = report.effect(label)
+                npt.assert_allclose(eff.mean, vals.mean(), rtol=1e-10)
+                npt.assert_allclose(eff.variance, vals.var(ddof=1), rtol=1e-10)
+        for j in range(11):
+            eff = report.effect(f"beta{j}")
+            npt.assert_allclose(eff.mean, coefs[:, j].mean(), rtol=1e-10)
+            npt.assert_allclose(eff.variance, coefs[:, j].var(ddof=1), rtol=1e-10)
+
+    def test_single_replicate_has_zero_variance(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_case(SimCaseConfig(w1=0.7, w2=0.6, replicates=1, seed=9))
+        for eff in report.effects:
+            assert eff.variance == 0.0
+            assert np.isfinite(eff.mean)
 
     def test_unbiasedness_within_four_mc_standard_errors(self):
         report = run_case(paper_case_config(2, seed=0, replicates=1000))
@@ -145,7 +185,6 @@ class TestRunCase:
         cfg = paper_case_config(4, seed=0, replicates=10)
         design = generate_design(cfg)
         report = run_case(cfg)
-        from groupfx import variability_weights
         w = variability_weights(correlation(design, [1, 2])).weights
         expected = float(w @ np.asarray(cfg.beta)[[1, 2]])
         npt.assert_allclose(report.effect("tau1_w").true_value, expected, rtol=1e-12)
