@@ -259,8 +259,11 @@ def parse_args(argv=None) -> RunConfig:
             r_values = _parse_r_list(merged["r_list"])
         else:
             r_values = list(TABLE1_R_VALUES)
+        sigma2 = float(merged["sigma2"])
+        if not sigma2 > 0.0:
+            raise UsageError("--sigma2: must be positive")
         config.options = {"p": int(merged["p"]), "r_values": r_values,
-                          "sigma2": float(merged["sigma2"])}
+                          "sigma2": sigma2}
 
     elif ns.subcommand == "analyze":
         if not merged["csv"]:
@@ -304,6 +307,8 @@ def parse_args(argv=None) -> RunConfig:
         if len(groups) != 1:
             raise UsageError("--group: exactly one group is required")
         offsets = _parse_offsets(merged["c_offset"])
+        if int(merged["folds"]) < 2:
+            raise UsageError("--folds: must be >= 2")
         config.input_path = merged["csv"]
         config.response = merged["response"]
         config.seed = _parse_seed(merged["seed"])

@@ -183,6 +183,8 @@ def solve_clr(
     """
     if selection not in ("min-rss", "kfold"):
         raise ValueError(f"unknown selection strategy {selection!r}")
+    if selection == "kfold" and n_folds < 2:
+        raise ValueError(f"kfold selection needs n_folds >= 2, got {n_folds}")
     if c_offset < 0.0:
         raise RadiusTooSmallError("c_offset must be nonnegative")
 

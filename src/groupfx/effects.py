@@ -4,19 +4,17 @@ Covers the sign arrangement that turns a strongly correlated group into an
 all-positive-correlations (APC) configuration, construction of the
 variability-weighted effect, estimation of arbitrary weighted effects with
 exact variances and t tests, the eigendecomposition form of an effect
-variance, and the exhaustive-sign quadratic search for the minimum-variance
-normalized effect.
+variance, and the minimum-variance normalized effect from its dual form, a
+maximization of s'Gs over sign vectors s.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .exceptions import (
     ConvergenceError,
@@ -30,8 +28,12 @@ from .linmod import CorrelationMatrix, OlsFit
 # arrangement exists (cos of a 45-degree half-angle cone).
 APC_THRESHOLD = math.sqrt(2.0) / 2.0
 
-# Exhaustive sign enumeration is capped at 2^(p-1) subproblems.
+# Exhaustive sign enumeration is capped at 2^(p-1) sign vectors.
 MAX_OPTIMAL_GROUP = 20
+
+# Sign vectors scored per block in optimal_effect, which bounds its scratch
+# memory to ~13 MB at MAX_OPTIMAL_GROUP.
+_SIGN_BLOCK = 1 << 14
 
 _WEIGHT_TOL = 1e-10
 
@@ -50,10 +52,10 @@ class WeightVector:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        if w.size == 0 or not np.all(np.isfinite(w)):
+        if w.size == 0 or not np.isfinite(w).all():
             raise DimensionMismatchError("weights must be a non-empty finite vector")
         if self.regime == "simplex":
-            if np.any(w < -_WEIGHT_TOL) or abs(w.sum() - 1.0) > _WEIGHT_TOL:
+            if w.min() < -_WEIGHT_TOL or abs(w.sum() - 1.0) > _WEIGHT_TOL:
                 raise ValueError("simplex weights must be nonnegative and sum to 1")
         elif self.regime == "signed_l1":
             if abs(np.abs(w).sum() - 1.0) > _WEIGHT_TOL:
@@ -90,7 +92,7 @@ class SignArrangement:
 
     def __post_init__(self):
         s = np.asarray(self.signs, dtype=np.float64).reshape(-1)
-        if not np.all(np.isin(s, (-1.0, 1.0))):
+        if not (np.abs(s) == 1.0).all():
             raise ValueError("signs must be +1 or -1")
         if s[0] != 1.0:
             raise ValueError("first sign must be +1 by convention")
@@ -130,6 +132,10 @@ def t_sf_two_sided(t: float, dof: int) -> float:
         return 0.0
     if t == 0.0:
         return 1.0
+    # Imported here: scipy.special costs ~0.3 s of import time, and the CLI
+    # paths that never test an effect should not pay it.
+    from scipy.special import betainc
+
     x = dof / (dof + t * t)
     return float(betainc(0.5 * dof, 0.5, x))
 
@@ -276,51 +282,34 @@ def silvey_variance(fit: OlsFit, c) -> tuple[float, np.ndarray, np.ndarray]:
     return variance, alphas, lam
 
 
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex
-    {u : u_i >= 0, sum u_i = 1}."""
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    u = np.sort(v)[::-1]
-    cssv = np.cumsum(u) - 1.0
-    ind = np.arange(1, v.size + 1)
-    rho = ind[u - cssv / ind > 0][-1]
-    theta = cssv[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
-
-
-def _minimize_orthant(M: np.ndarray, u0: np.ndarray | None = None,
-                      tol: float = 1e-10, max_iter: int = 100_000) -> np.ndarray:
-    """Minimize u' M u over the probability simplex by projected gradient
-    with fixed step 1/L, L the largest eigenvalue of the objective Hessian."""
-    p = M.shape[0]
-    lmax = float(np.linalg.eigvalsh(M)[-1])
-    if lmax <= 0.0:
-        raise ConvergenceError("orthant matrix is not positive definite")
-    step = 1.0 / (2.0 * lmax)
-    u = np.full(p, 1.0 / p) if u0 is None else u0.copy()
-    for _ in range(max_iter):
-        u_next = project_to_simplex(u - step * 2.0 * (M @ u))
-        if np.max(np.abs(u_next - u)) < tol:
-            return u_next
-        u = u_next
-    raise ConvergenceError(
-        f"projected gradient did not converge within {max_iter} iterations"
-    )
+def _sign_block(start: int, stop: int, p: int) -> np.ndarray:
+    """Rows start..stop-1 of the 2^(p-1) sign vectors with first entry +1,
+    the tails in ``itertools.product((-1.0, 1.0), repeat=p - 1)`` order."""
+    k = np.arange(start, stop)[:, None]
+    S = np.ones((stop - start, p))
+    S[:, 1:] = 2.0 * ((k >> np.arange(p - 2, -1, -1)) & 1) - 1.0
+    return S
 
 
 def optimal_effect(fit: OlsFit, group) -> tuple[SignArrangement, WeightVector, float]:
-    """Minimum-variance normalized group effect by exhaustive sign search.
+    """Minimum-variance normalized group effect, exact via its dual form.
 
-    With the first sign fixed at +1 (a global flip leaves the variance
-    unchanged), each of the 2^(p-1) sign arrangements poses a convex
-    quadratic program over the simplex, solved by projected gradient. The
-    winner is returned as (signs, simplex weights, estimator variance), with
-    ties broken toward the lexicographically smallest sign vector.
+    With A the group block of (X'X)^{-1} and G = A^{-1}, the minimum of
+    c'Ac over ||c||_1 = 1 is 1 / max over s in {+-1}^p of s'Gs, attained at
+    c = G s* / (s*'G s*). The first sign is fixed at +1 (a global flip
+    leaves s'Gs unchanged) and the 2^(p-1) remaining sign vectors are
+    scored in blocks of bounded size. At the maximum, flipping s_i cannot
+    help, so s_i (G s)_i >= G_ii > 0: c has sign pattern s* and the simplex
+    weights u = s* c are all positive. Returns (signs, simplex weights,
+    estimator variance), with ties broken toward the lexicographically
+    smallest sign vector.
     """
     idx = [int(j) for j in group]
     p = len(idx)
     if p < 1:
         raise DimensionMismatchError("group must contain at least one column")
+    if len(set(idx)) != p:
+        raise DimensionMismatchError("group indices must be distinct")
     if p > MAX_OPTIMAL_GROUP:
         raise GroupTooLargeError(
             f"group size {p} exceeds the 2^p enumeration bound ({MAX_OPTIMAL_GROUP})"
@@ -330,21 +319,22 @@ def optimal_effect(fit: OlsFit, group) -> tuple[SignArrangement, WeightVector, f
         if j < 0 or j >= q:
             raise DimensionMismatchError(f"group index {j} out of range")
 
-    A = fit.xtx_inv[np.ix_(idx, idx)]
-    best = None
-    for tail in itertools.product((-1.0, 1.0), repeat=p - 1):
-        s = np.array((1.0,) + tail)
-        M = A * np.outer(s, s)
-        u = _minimize_orthant(M)
-        val = float(u @ M @ u)
-        if best is None or val < best[0]:
-            best = (val, s, u)
+    G = np.linalg.inv(fit.xtx_inv[np.ix_(idx, idx)])
+    G = 0.5 * (G + G.T)
+    n_signs = 1 << (p - 1)
+    best_val, best_s = -np.inf, None
+    for start in range(0, n_signs, _SIGN_BLOCK):
+        S = _sign_block(start, min(start + _SIGN_BLOCK, n_signs), p)
+        vals = np.einsum("ij,ij->i", S @ G, S)
+        k = int(np.argmax(vals))
+        if vals[k] > best_val:
+            best_val, best_s = float(vals[k]), S[k]
 
-    val, s, u = best
+    u = best_s * (G @ best_s)
     return (
-        SignArrangement(signs=s),
-        WeightVector(u, "simplex"),
-        fit.sigma2_hat * val,
+        SignArrangement(signs=best_s),
+        WeightVector(u / u.sum(), "simplex"),
+        fit.sigma2_hat / best_val,
     )
 
 

@@ -38,7 +38,7 @@ class GroupTooLargeError(GroupFxError):
 
 
 class ConvergenceError(GroupFxError):
-    """An iterative routine (QP solve, eigendecomposition) did not converge."""
+    """An eigendecomposition failed or found X'X not positive definite."""
 
 
 class RadiusTooSmallError(GroupFxError):

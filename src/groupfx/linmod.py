@@ -136,9 +136,11 @@ class CorrelationMatrix:
             raise DimensionMismatchError("correlation matrix must be square")
         if s.shape[0] != R.shape[0]:
             raise DimensionMismatchError("one column sd per variable required")
-        if not np.allclose(np.diag(R), 1.0, atol=1e-10):
+        # np.allclose(a, b, atol=1e-10) written out, i.e. |a - b| <= 1e-10 +
+        # 1e-5 |b| with NaN rejected: allclose costs more than all the rest.
+        if not np.all(np.abs(np.diagonal(R) - 1.0) <= 1e-10 + 1e-5):
             raise ValueError("correlation matrix diagonal must be 1")
-        if not np.allclose(R, R.T, atol=1e-10):
+        if not np.all(np.abs(R - R.T) <= 1e-10 + 1e-5 * np.abs(R.T)):
             raise ValueError("correlation matrix must be symmetric")
         if np.any(np.abs(R) > 1.0 + 1e-10):
             raise ValueError("correlations must lie in [-1, 1]")
@@ -157,7 +159,7 @@ class CorrelationMatrix:
 
 
 def fit_ols(data: Dataset) -> OlsFit:
-    """Fit ordinary least squares via QR decomposition.
+    """Fit ordinary least squares via one QR decomposition of X.
 
     (X'X)^{-1} is formed explicitly because the group-effect variance
     formulas consume it directly.
@@ -173,15 +175,16 @@ def fit_ols(data: Dataset) -> OlsFit:
     if n <= q:
         raise SingularDesignError(f"n={n} observations cannot fit q={q} parameters")
 
-    sv = np.linalg.svd(X, compute_uv=False)
-    # rcond of X'X is the squared singular-value ratio of X.
+    Q, R = np.linalg.qr(X)
+    # rcond of X'X is the squared singular-value ratio of X, and R has the
+    # singular values of X.
+    sv = np.linalg.svd(R, compute_uv=False)
     rcond = (sv[-1] / sv[0]) ** 2 if sv[0] > 0 else 0.0
     if not np.isfinite(rcond) or rcond < RCOND_MIN:
         raise SingularDesignError(
             f"design is numerically singular (rcond of X'X = {rcond:.3e})"
         )
 
-    Q, R = np.linalg.qr(X)
     beta = np.linalg.solve(R, Q.T @ y)
     resid = y - X @ beta
     rss = float(resid @ resid)

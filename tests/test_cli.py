@@ -4,6 +4,10 @@ determinism of the command-line interface."""
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -162,6 +166,22 @@ class TestMainExitCodes:
         assert out == ""
         assert "groupfx:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("args", [
+        ["uniform", "--p", "8", "--sigma2", "-1"],
+        ["uniform", "--p", "8", "--sigma2", "0"],
+        ["uniform", "--p", "8", "--sigma2", "nan"],
+        ["clr", "--response", "y", "--group", "3,4,5", "--select", "kfold", "--folds", "0"],
+        ["clr", "--response", "y", "--group", "3,4,5", "--select", "kfold", "--folds", "1"],
+        ["clr", "--response", "y", "--group", "3,4,5", "--folds", "-2"],
+    ])
+    def test_bad_sigma2_or_folds_is_2(self, args, dataset_csv, capsys):
+        if args[0] == "clr":
+            args = args + ["--csv", str(dataset_csv)]
+        code, out, err = run_main(args, capsys)
+        assert code == 2
+        assert out == ""
+        assert "groupfx:" in err and "Traceback" not in err
+
     def test_out_of_range_r_is_1(self, capsys):
         code, out, err = run_main(["uniform", "--p", "8", "--r", "1.5"], capsys)
         assert code == 1
@@ -267,3 +287,16 @@ class TestDeterminism:
         _, out2, _ = run_main(args, capsys)
         assert out1 == out2
         assert "check,passed,detail" in out1
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # uniform and simulate never need the t tail, so importing the CLI must
+    # not pay for scipy.special
+    code = "import sys, groupfx.cli; print('scipy.special' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"

@@ -1,5 +1,5 @@
 """Tests for sign arrangements, weighted effects, the eigendecomposition
-variance form and the exhaustive-sign optimal effect."""
+variance form and the dual-form optimal effect."""
 
 import itertools
 import warnings
@@ -7,8 +7,6 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from groupfx import (
     CorrelationMatrix,
@@ -33,7 +31,6 @@ from groupfx import (
     t_sf_two_sided,
     variability_weights,
 )
-from groupfx.effects import project_to_simplex
 from conftest import cone_design, uniform_design_dataset
 
 # Reference two-sided t tail probabilities (t, dof, p). The dof=4 rows match
@@ -355,19 +352,6 @@ class TestSilveyVariance:
         npt.assert_allclose(V[:, order] @ alphas, c, rtol=1e-9)
 
 
-class TestProjectToSimplex:
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=9))
-    def test_projection_lands_on_simplex(self, v):
-        u = project_to_simplex(np.array(v))
-        assert np.all(u >= 0)
-        assert abs(u.sum() - 1.0) < 1e-9
-
-    def test_interior_point_fixed(self):
-        w = np.array([0.2, 0.3, 0.5])
-        npt.assert_allclose(project_to_simplex(w), w, atol=1e-12)
-
-
 class TestOptimalEffect:
     def _fit_from_xtx_inv(self, A):
         return OlsFit(beta_hat=np.zeros(A.shape[0]), sigma2_hat=1.0,
@@ -458,6 +442,70 @@ class TestOptimalEffect:
         signs, w, variance = optimal_effect(fit, [0, 1, 2])
         npt.assert_array_equal(signs.signs, [1.0, -1.0, -1.0])
         npt.assert_allclose(variance, 1.0 / 3.0, rtol=1e-9)
+
+    def test_random_designs_match_dual_oracle(self):
+        # oracle: G is the group's residualized Gram matrix X_g'(I - P_rest)X_g,
+        # built from lstsq residuals rather than by inverting (X'X)^{-1}, and
+        # every anchor-fixed sign vector is scored one at a time
+        rng = np.random.default_rng(31)
+        for p in range(2, 11):
+            n = p + 25
+            z = rng.standard_normal(n)
+            group_cols = [rng.choice((-1.0, 1.0)) * z + rng.uniform(0.3, 1.5)
+                          * rng.standard_normal(n) for _ in range(p)]
+            rest_cols = [rng.standard_normal(n) for _ in range(3)]
+            data = Dataset.from_columns(rng.standard_normal(n), group_cols + rest_cols,
+                                        [f"x{i}" for i in range(p + 3)])
+            fit = fit_ols(data)
+            group = list(range(1, p + 1))
+            signs, w, variance = optimal_effect(fit, group)
+
+            rest = data.X[:, [0] + list(range(p + 1, data.q))]
+            Xg = data.X[:, group]
+            coef, *_ = np.linalg.lstsq(rest, Xg, rcond=None)
+            Z = Xg - rest @ coef
+            G = Z.T @ Z
+            best_val, best_s = -np.inf, None
+            for tail in itertools.product((-1.0, 1.0), repeat=p - 1):
+                sv = np.array((1.0,) + tail)
+                val = sv @ G @ sv
+                if val > best_val:
+                    best_val, best_s = val, sv
+            npt.assert_array_equal(signs.signs, best_s)
+            npt.assert_allclose(variance, fit.sigma2_hat / best_val, rtol=1e-9)
+
+    def test_optimality_certificate_and_self_consistency(self):
+        # at the maximizing sign vector no single flip raises s'Gs, i.e.
+        # s_i (G s)_i >= G_ii; the returned weights reproduce the variance
+        rng = np.random.default_rng(5)
+        for p in range(2, 11):
+            Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+            A = Q @ np.diag(rng.uniform(0.2, 3.0, p)) @ Q.T
+            fit = self._fit_from_xtx_inv(A)
+            signs, w, variance = optimal_effect(fit, list(range(p)))
+            s = signs.signs
+            G = np.linalg.inv(A)
+            Gs = G @ s
+            assert np.all(s * Gs >= np.diag(G) - 1e-12 * (s @ Gs))
+            assert np.all(w.weights > 0.0)
+            c = s * w.weights
+            npt.assert_allclose(fit.sigma2_hat * (c @ A @ c), variance, rtol=1e-12)
+
+    def test_sixteen_variable_group(self):
+        rng = np.random.default_rng(16)
+        p = 16
+        Q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        A = Q @ np.diag(rng.uniform(0.2, 3.0, p)) @ Q.T
+        signs, w, variance = optimal_effect(self._fit_from_xtx_inv(A), list(range(p)))
+        assert signs.p == p and signs.signs[0] == 1.0
+        assert np.all(w.weights > 0.0)
+        assert 0.0 < variance <= np.min(np.diag(A))
+
+    def test_repeated_index_rejected(self):
+        # a repeated column makes the group block singular
+        fit = self._fit_from_xtx_inv(np.eye(3))
+        with pytest.raises(DimensionMismatchError):
+            optimal_effect(fit, [0, 1, 1])
 
     def test_group_size_cap(self):
         fit = self._fit_from_xtx_inv(np.eye(21))
