@@ -94,64 +94,106 @@ _DEFAULTS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser, plus each subcommand's flag actions by dest, so
+    config-file values can be checked with the flags' own type and choices."""
     parser = argparse.ArgumentParser(
         prog="groupfx",
         description="Estimable group effects for strongly correlated predictors.",
     )
     sub = parser.add_subparsers(dest="subcommand")
+    actions: dict[str, dict[str, argparse.Action]] = {}
+
+    def add(sp, *names, **kwargs):
+        action = sp.add_argument(*names, **kwargs)
+        actions.setdefault(sp.prog.split()[-1], {})[action.dest] = action
 
     def common(sp):
-        sp.add_argument("--config", help="JSON config file; explicit flags win")
-        sp.add_argument("--format", choices=("csv", "json"), default=None)
-        sp.add_argument("--out", help="output path (default: stdout)")
+        add(sp, "--config", help="JSON config file; explicit flags win")
+        add(sp, "--format", choices=("csv", "json"), default=None)
+        add(sp, "--out", help="output path (default: stdout)")
 
     sp = sub.add_parser("uniform", help="closed-form uniform-model variances")
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--r", type=float, default=None)
-    sp.add_argument("--r-list", dest="r_list", default=None,
-                    help="comma-separated correlation levels")
-    sp.add_argument("--sigma2", type=float, default=None)
+    add(sp, "--p", type=int, default=None)
+    add(sp, "--r", type=float, default=None)
+    add(sp, "--r-list", dest="r_list", default=None,
+        help="comma-separated correlation levels")
+    add(sp, "--sigma2", type=float, default=None)
     common(sp)
 
     sp = sub.add_parser("analyze", help="group-effect table for a CSV dataset")
-    sp.add_argument("--csv", dest="csv", default=None)
-    sp.add_argument("--response", default=None)
-    sp.add_argument("--group", action="append", default=None,
-                    help="comma-separated predictor names or 1-based positions; repeatable")
-    sp.add_argument("--anchor", default=None,
-                    help="anchor variable (name or 1-based position)")
+    add(sp, "--csv", dest="csv", default=None)
+    add(sp, "--response", default=None)
+    add(sp, "--group", action="append", default=None,
+        help="comma-separated predictor names or 1-based positions; repeatable")
+    add(sp, "--anchor", default=None,
+        help="anchor variable (name or 1-based position)")
     common(sp)
 
     sp = sub.add_parser("simulate", help="Monte Carlo simulation cases")
-    sp.add_argument("--case", type=int, default=None, choices=(1, 2, 3, 4, 5))
-    sp.add_argument("--paper-suite", dest="paper_suite", action="store_true",
-                    default=None, help="run all five cases plus invariant checks")
-    sp.add_argument("--w1", type=float, default=None)
-    sp.add_argument("--w2", type=float, default=None)
-    sp.add_argument("--replicates", type=int, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    add(sp, "--case", type=int, default=None, choices=(1, 2, 3, 4, 5))
+    add(sp, "--paper-suite", dest="paper_suite", action="store_true",
+        default=None, help="run all five cases plus invariant checks")
+    add(sp, "--w1", type=float, default=None)
+    add(sp, "--w2", type=float, default=None)
+    add(sp, "--replicates", type=int, default=None)
+    add(sp, "--n", type=int, default=None)
+    add(sp, "--seed", type=int, default=None)
     common(sp)
 
     sp = sub.add_parser("clr", help="constrained local regression")
-    sp.add_argument("--csv", dest="csv", default=None)
-    sp.add_argument("--response", default=None)
-    sp.add_argument("--group", action="append", default=None)
-    sp.add_argument("--anchor", default=None)
-    sp.add_argument("--c-offset", dest="c_offset", default=None,
-                    help="squared-radius offset; a comma-separated list "
-                         "triggers a grid search")
-    sp.add_argument("--select", choices=("min-rss", "kfold"), default=None)
-    sp.add_argument("--folds", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    add(sp, "--csv", dest="csv", default=None)
+    add(sp, "--response", default=None)
+    add(sp, "--group", action="append", default=None)
+    add(sp, "--anchor", default=None)
+    add(sp, "--c-offset", dest="c_offset", default=None,
+        help="squared-radius offset; a comma-separated list "
+             "triggers a grid search")
+    add(sp, "--select", choices=("min-rss", "kfold"), default=None)
+    add(sp, "--folds", type=int, default=None)
+    add(sp, "--seed", type=int, default=None)
     common(sp)
 
-    return parser
+    return parser, actions
 
 
-def _merge(ns: argparse.Namespace, subcommand: str) -> dict:
-    """Resolve options as: explicit flag > config file > built-in default."""
+# Options whose config value may also be a JSON list (a repeated --group, or
+# the values of a comma-separated flag).
+_LIST_OPTIONS = ("group", "r_list", "c_offset")
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _config_value(key: str, value, action: argparse.Action):
+    """Check a config-file value as its flag's type and choices would check
+    the flag's text; JSON null counts as absent and is handled by the
+    caller. Raises :class:`UsageError` naming the key."""
+    if action.nargs == 0:  # store_true
+        if not isinstance(value, bool):
+            raise UsageError(f"--config: {key!r} must be true or false, got {value!r}")
+        return value
+    if isinstance(value, (list, tuple)) and key in _LIST_OPTIONS:
+        if any(isinstance(v, bool) for v in value):
+            raise UsageError(f"--config: {key!r} entries cannot be true or false, got {value!r}")
+        return value
+    convert = action.type or str
+    bad_type = f"--config: {key!r} must be {_TYPE_NAMES[convert]}, got {value!r}"
+    if isinstance(value, (bool, list, dict)):
+        raise UsageError(bad_type)
+    if convert is int and isinstance(value, float) and value.is_integer():
+        value = int(value)  # JSON writers may emit 10 as 10.0
+    try:
+        value = convert(str(value))
+    except ValueError:
+        raise UsageError(bad_type) from None
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(str, action.choices))
+        raise UsageError(f"--config: {key!r} must be one of {choices}, got {value!r}")
+    return value
+
+
+def _merge(ns: argparse.Namespace, subcommand: str, actions: dict) -> dict:
+    """Resolve options as: explicit flag > config file > built-in default.
+    Config values are checked like the flags they stand in for."""
     cfg = {}
     if getattr(ns, "config", None):
         try:
@@ -163,49 +205,34 @@ def _merge(ns: argparse.Namespace, subcommand: str) -> dict:
             raise UsageError("--config: file must contain a JSON object")
 
     merged = {}
-    for key, default in _DEFAULTS[subcommand].items():
+    for key, default in {**_DEFAULTS[subcommand], "out": None}.items():
         flag = getattr(ns, key, None)
         if flag is not None and flag != []:
             merged[key] = flag
-        elif key in cfg:
-            merged[key] = cfg[key]
+        elif cfg.get(key) is not None:
+            merged[key] = _config_value(key, cfg[key], actions[key])
         else:
             merged[key] = default
-    for key in ("format", "out"):
-        flag = getattr(ns, key, None)
-        merged[key] = flag if flag is not None else cfg.get(key, merged.get(key))
-    if merged.get("format") is None:
-        merged["format"] = _DEFAULTS[subcommand].get("format", "csv")
-    if merged["format"] not in ("csv", "json"):
-        raise UsageError(f"--format: must be csv or json, got {merged['format']!r}")
     return merged
 
 
-def _parse_r_list(raw) -> list[float]:
+def _parse_floats(raw, flag: str) -> list[float]:
+    """Numbers from a comma-separated string or a JSON list."""
     if isinstance(raw, (list, tuple)):
-        vals = [float(v) for v in raw]
+        tokens = raw
     else:
-        try:
-            vals = [float(tok) for tok in str(raw).split(",") if tok.strip() != ""]
-        except ValueError as exc:
-            raise UsageError(f"--r-list: non-numeric entry in {raw!r}") from exc
+        tokens = [tok for tok in str(raw).split(",") if tok.strip() != ""]
+    try:
+        vals = [float(tok) for tok in tokens]
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{flag}: non-numeric entry in {raw!r}") from exc
     if not vals:
-        raise UsageError("--r-list: no values given")
+        raise UsageError(f"{flag}: no values given")
     return vals
 
 
 def _parse_offsets(raw) -> list[float]:
-    if isinstance(raw, (int, float)):
-        offsets = [float(raw)]
-    elif isinstance(raw, (list, tuple)):
-        offsets = [float(o) for o in raw]
-    else:
-        try:
-            offsets = [float(tok) for tok in str(raw).split(",") if tok.strip() != ""]
-        except ValueError as exc:
-            raise UsageError(f"--c-offset: non-numeric entry in {raw!r}") from exc
-    if not offsets:
-        raise UsageError("--c-offset: no values given")
+    offsets = _parse_floats(raw, "--c-offset")
     if any(o < 0.0 for o in offsets):
         raise UsageError("--c-offset: must be nonnegative")
     return offsets
@@ -239,12 +266,12 @@ def parse_args(argv=None) -> RunConfig:
     Raises :class:`UsageError` (exit status 2) on semantic problems;
     argparse itself exits with status 2 on malformed flags.
     """
-    parser = _build_parser()
+    parser, actions = _build_parser()
     ns = parser.parse_args(argv)
     if ns.subcommand is None:
         raise UsageError("a subcommand is required: uniform, analyze, simulate or clr")
 
-    merged = _merge(ns, ns.subcommand)
+    merged = _merge(ns, ns.subcommand, actions[ns.subcommand])
     config = RunConfig(subcommand=ns.subcommand, format=merged["format"],
                        out=merged.get("out"))
 
@@ -256,7 +283,7 @@ def parse_args(argv=None) -> RunConfig:
         if merged["r"] is not None:
             r_values = [float(merged["r"])]
         elif merged["r_list"] is not None:
-            r_values = _parse_r_list(merged["r_list"])
+            r_values = _parse_floats(merged["r_list"], "--r-list")
         else:
             r_values = list(TABLE1_R_VALUES)
         sigma2 = float(merged["sigma2"])

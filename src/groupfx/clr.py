@@ -10,6 +10,7 @@ group's coefficients are touched; all other least-squares estimates are kept.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,31 +134,80 @@ def _full_beta(fit: OlsFit, group, signs: SignArrangement, point: np.ndarray) ->
     return beta
 
 
-def _kfold_score(
-    data: Dataset, group, signs: SignArrangement, point: np.ndarray,
-    n_folds: int, seed: int,
-) -> float:
-    """Cross-validated prediction error of a candidate: per fold, hold the
-    group coefficients at the candidate, refit the remaining coefficients on
-    the training rows, and accumulate held-out squared error."""
-    n = data.n
+def _heldout_residuals(data: Dataset, group, n_folds: int, seed: int) -> np.ndarray:
+    """Held-out residual operator [a | M] of k-fold selection.
+
+    Fold f holds out rows H of a permutation drawn from ``seed`` and trains
+    on rows T. With the group's coefficients held at b and the others refit
+    on T, the held-out residual is a_H - M_H b, where [a_H | M_H] =
+    Z_H - X_H,rest lstsq(X_T,rest, Z_T) and Z = [y | X_group]: the
+    minimum-norm solution is linear in its right-hand side, so this holds
+    for rank-deficient training designs too. Each row is held out once, so
+    the k-fold score of b is ||a - M b||^2 (see :func:`_heldout_sse`).
+    """
     idx = list(group)
     rest = [j for j in range(data.q) if j not in idx]
-    beta_g = signs.signs * point
+    Z = np.column_stack((data.y, data.X[:, idx]))
+    X_rest = data.X[:, rest]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    perm = rng.permutation(n)
-    folds = np.array_split(perm, n_folds)
-    sse = 0.0
-    for fold in folds:
+    perm = rng.permutation(data.n)
+    resid = np.empty_like(Z)
+    for fold in np.array_split(perm, n_folds):
         if fold.size == 0:
             continue
-        train = np.setdiff1d(perm, fold)
-        y_adj = data.y[train] - data.X[np.ix_(train, idx)] @ beta_g
-        X_rest = data.X[np.ix_(train, rest)]
-        coef, *_ = np.linalg.lstsq(X_rest, y_adj, rcond=None)
-        pred = data.X[np.ix_(fold, idx)] @ beta_g + data.X[np.ix_(fold, rest)] @ coef
-        sse += float(np.sum((data.y[fold] - pred) ** 2))
-    return sse
+        held = np.zeros(data.n, dtype=bool)
+        held[fold] = True
+        coef, *_ = np.linalg.lstsq(X_rest[~held], Z[~held], rcond=None)
+        resid[held] = Z[held] - X_rest[held] @ coef
+    return resid
+
+
+def _heldout_sse(resid: np.ndarray, beta_group: np.ndarray) -> float:
+    """k-fold score ||a - M b||^2 from the residual itself; an expanded quadratic would cancel."""
+    r = resid[:, 0] - resid[:, 1:] @ beta_group
+    return float(r @ r)
+
+
+def _offset_solver(data, group, selection, n_folds, seed, anchor, direction, fit):
+    """Do the part of :func:`solve_clr` that does not depend on c_offset (OLS
+    fit, group geometry, search direction, k-fold operator) and return the
+    function that finishes a solve at a given c_offset."""
+    if fit is None:
+        fit = fit_ols(data)
+    idx = [int(j) for j in group]
+    corr = correlation(data, idx)
+    signs = apc_arrangement(corr, anchor)
+    w = variability_weights(corr)
+    effect = estimate_effect(fit, idx, w, signs)
+    problem = ClrProblem(w=w, tau_hat=effect.value)
+    beta_star, mns = min_norm_point(problem)
+    if direction is None:
+        direction = _default_direction(w.weights, signs.signs * fit.beta_hat[idx], beta_star)
+    resid = _heldout_residuals(data, idx, n_folds, seed) if selection == "kfold" else None
+    fixed = {"tau_hat": effect.value, "tau_se": effect.std_error,
+             "tau_p_value": effect.p_value, "rss_ols": fit.rss,
+             "rss_beta_star": _rss(data, _full_beta(fit, idx, signs, beta_star))}
+
+    def solve_at(c_offset: float) -> ClrSolution:
+        if c_offset == 0.0:
+            candidates = (beta_star.copy(), beta_star.copy())
+        else:
+            candidates = sphere_candidates(problem, mns + c_offset, direction)
+        betas = [_full_beta(fit, idx, signs, pt) for pt in candidates]
+        scores = tuple(_rss(data, b) if resid is None else _heldout_sse(resid, b[idx])
+                       for b in betas)
+        best = int(np.argmin(scores))
+        diagnostics = {"scores": scores, **fixed, "rss_chosen": _rss(data, betas[best]),
+                       "apc_condition_met": signs.condition_met}
+        return ClrSolution(problem, signs, tuple(idx), beta_star, mns, mns + c_offset,
+                           candidates, candidates[best], betas[best], selection, diagnostics)
+
+    return solve_at
+
+
+# Set by solve_clr_best_offset to a one-slot list: its solve_clr calls differ
+# only in c_offset, so the first one stores its offset solver for the rest.
+_shared_solver: ContextVar[list | None] = ContextVar("_shared_solver", default=None)
 
 
 def solve_clr(
@@ -179,7 +229,8 @@ def solve_clr(
     picks one of the two sphere intersection points by the requested
     strategy: ``"min-rss"`` (training residual sum of squares) or
     ``"kfold"`` (cross-validated prediction error with fold assignment drawn
-    from ``seed``). Coefficients outside the group keep their OLS values.
+    from ``seed``), scored by one least-squares solve per fold that serves
+    both candidates. Coefficients outside the group keep their OLS values.
     """
     if selection not in ("min-rss", "kfold"):
         raise ValueError(f"unknown selection strategy {selection!r}")
@@ -187,61 +238,10 @@ def solve_clr(
         raise ValueError(f"kfold selection needs n_folds >= 2, got {n_folds}")
     if c_offset < 0.0:
         raise RadiusTooSmallError("c_offset must be nonnegative")
-
-    if fit is None:
-        fit = fit_ols(data)
-    idx = [int(j) for j in group]
-    corr = correlation(data, idx)
-    signs = apc_arrangement(corr, anchor)
-    w = variability_weights(corr)
-    effect = estimate_effect(fit, idx, w, signs)
-
-    problem = ClrProblem(w=w, tau_hat=effect.value)
-    beta_star, mns = min_norm_point(problem)
-    c = mns + c_offset
-
-    beta_group_apc = signs.signs * fit.beta_hat[idx]
-    if direction is None:
-        direction = _default_direction(w.weights, beta_group_apc, beta_star)
-    if c_offset == 0.0:
-        candidates = (beta_star.copy(), beta_star.copy())
-    else:
-        candidates = sphere_candidates(problem, c, direction)
-    if selection == "min-rss":
-        scores = tuple(
-            _rss(data, _full_beta(fit, idx, signs, pt)) for pt in candidates
-        )
-    else:
-        scores = tuple(
-            _kfold_score(data, idx, signs, pt, n_folds, seed) for pt in candidates
-        )
-    chosen = candidates[int(np.argmin(scores))]
-    diagnostics = {"scores": scores}
-
-    diagnostics.update(
-        {
-            "tau_hat": effect.value,
-            "tau_se": effect.std_error,
-            "tau_p_value": effect.p_value,
-            "rss_ols": fit.rss,
-            "rss_beta_star": _rss(data, _full_beta(fit, idx, signs, beta_star)),
-            "rss_chosen": _rss(data, _full_beta(fit, idx, signs, chosen)),
-            "apc_condition_met": signs.condition_met,
-        }
-    )
-    return ClrSolution(
-        problem=problem,
-        signs=signs,
-        group=tuple(idx),
-        beta_star=beta_star,
-        min_norm_sq=mns,
-        c=c,
-        candidates=candidates,
-        chosen=chosen,
-        full_beta=_full_beta(fit, idx, signs, chosen),
-        selection=selection,
-        diagnostics=diagnostics,
-    )
+    slot = _shared_solver.get() or [None]
+    if slot[0] is None:
+        slot[0] = _offset_solver(data, group, selection, n_folds, seed, anchor, direction, fit)
+    return slot[0](c_offset)
 
 
 def solve_clr_best_offset(
@@ -259,21 +259,21 @@ def solve_clr_best_offset(
     Solves the constrained local regression at each offset and keeps the
     solution whose chosen point scores best under the selection strategy
     (training RSS or cross-validated error, which are comparable across
-    offsets). Per-offset scores land in the diagnostics.
+    offsets). The first :func:`solve_clr` call builds the group geometry and
+    the k-fold operator, and the calls for the other offsets reuse them.
+    Per-offset scores land in the diagnostics.
     """
     offsets = [float(o) for o in offsets]
     if not offsets:
         raise RadiusTooSmallError("at least one c_offset is required")
     fit = fit_ols(data)
-    best = None
-    offset_scores = []
-    for offset in offsets:
-        sol = solve_clr(data, group, c_offset=offset, selection=selection,
-                        n_folds=n_folds, seed=seed, anchor=anchor, fit=fit)
-        score = min(sol.diagnostics["scores"])
-        offset_scores.append((offset, score))
-        if best is None or score < best[0]:
-            best = (score, sol)
-    _, sol = best
-    sol.diagnostics["offset_scores"] = offset_scores
-    return sol
+    token = _shared_solver.set([None])
+    try:
+        solutions = [solve_clr(data, group, c_offset=o, selection=selection, n_folds=n_folds,
+                               seed=seed, anchor=anchor, fit=fit) for o in offsets]
+    finally:
+        _shared_solver.reset(token)
+    scores = [min(s.diagnostics["scores"]) for s in solutions]
+    best = solutions[scores.index(min(scores))]  # ties go to the earliest offset
+    best.diagnostics["offset_scores"] = list(zip(offsets, scores))
+    return best

@@ -56,6 +56,9 @@ class Dataset:
             raise DimensionMismatchError(
                 f"{len(self.names)} names for {X.shape[1]} columns"
             )
+        if len(set(self.names)) != len(self.names):
+            dup = next(s for i, s in enumerate(self.names) if s in self.names[:i])
+            raise DataFormatError(f"duplicate column name {dup!r}")
         if not np.all(np.isfinite(y)) or not np.all(np.isfinite(X)):
             raise DataFormatError("response and predictors must be finite")
         if self.has_intercept and not np.allclose(X[:, 0], 1.0):
@@ -279,40 +282,45 @@ def load_csv(path, response: str, add_intercept: bool = True) -> Dataset:
     """Read a headered CSV file into a :class:`Dataset`.
 
     The named response column becomes y; all remaining columns become
-    predictors in file order. Missing or non-numeric cells are rejected.
+    predictors in file order. Missing or non-numeric cells are rejected, and
+    an error names the first offending line. A UTF-8 byte-order mark is
+    ignored.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataFormatError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        dup = next((h for i, h in enumerate(header) if h in header[:i]), None)
+        if dup is not None:
+            raise DataFormatError(f"{path}: duplicate column name {dup!r}")
         if response not in header:
             raise DataFormatError(
                 f"{path}: response column {response!r} not found in header"
             )
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                vals = [float(v) for v in row]
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: missing or non-numeric value"
-                ) from None
-            if not all(np.isfinite(vals)):
-                raise DataFormatError(f"{path}:{lineno}: non-finite value")
-            rows.append(vals)
-    if not rows:
+        ncol = len(header)
+
+        def cells():
+            for row in reader:
+                if len(row) == ncol:
+                    yield from row
+                elif row:  # blank lines are skipped
+                    raise ValueError("wrong field count")
+
+        # numpy parses each cell with float(), so the accepted set is the
+        # same; any bad file is read again row by row to name its first bad line
+        try:
+            table = np.fromiter(cells(), dtype=np.float64).reshape(-1, ncol)
+        except ValueError:
+            table = None
+        if table is None or not np.isfinite(table).all():
+            fh.seek(0)
+            table = _parse_rows(path, csv.reader(fh), ncol)
+    if table.shape[0] == 0:
         raise DataFormatError(f"{path}: no data rows")
 
-    table = np.asarray(rows, dtype=np.float64)
     r_col = header.index(response)
     y = table[:, r_col]
     pred_idx = [j for j in range(len(header)) if j != r_col]
@@ -322,3 +330,26 @@ def load_csv(path, response: str, add_intercept: bool = True) -> Dataset:
         [header[j] for j in pred_idx],
         add_intercept=add_intercept,
     )
+
+
+def _parse_rows(path, reader, ncol: int) -> np.ndarray:
+    """Parse the data rows of a CSV reader one at a time with ``float()``,
+    raising at the first line with a wrong field count or a missing,
+    non-numeric or non-finite value."""
+    next(reader)
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != ncol:
+            raise DataFormatError(f"{path}:{lineno}: expected {ncol} fields, got {len(row)}")
+        try:
+            vals = [float(v) for v in row]
+        except ValueError:
+            raise DataFormatError(
+                f"{path}:{lineno}: missing or non-numeric value"
+            ) from None
+        if not all(np.isfinite(vals)):
+            raise DataFormatError(f"{path}:{lineno}: non-finite value")
+        rows.append(vals)
+    return np.asarray(rows, dtype=np.float64).reshape(-1, ncol)

@@ -182,6 +182,59 @@ class TestMainExitCodes:
         assert out == ""
         assert "groupfx:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("subcommand, cfg, key", [
+        ("uniform", {"sigma2": "abc"}, "sigma2"),
+        ("uniform", {"p": 8.5}, "p"),
+        ("uniform", {"p": True}, "p"),
+        ("uniform", {"r": [0.5]}, "r"),
+        ("uniform", {"r_list": ["a", 0.5]}, "--r-list"),
+        ("uniform", {"r_list": [True]}, "r_list"),
+        ("uniform", {"format": "xml"}, "format"),
+        ("simulate", {"case": 6}, "case"),
+        ("simulate", {"paper_suite": "yes"}, "paper_suite"),
+        ("clr", {"folds": "x"}, "folds"),
+        ("clr", {"select": "foo"}, "select"),
+        ("clr", {"c_offset": [1.0, "z"]}, "--c-offset"),
+        ("clr", {"c_offset": [1.0, False]}, "c_offset"),
+        ("clr", {"folds": 10.5}, "folds"),
+        ("clr", {"csv": ["data.csv"]}, "csv"),
+    ])
+    def test_bad_config_value_is_2(self, subcommand, cfg, key, tmp_path, dataset_csv,
+                                   capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        args = [subcommand, "--config", str(path)]
+        if subcommand == "uniform":
+            args += ["--p", "8"] if "p" not in cfg else []
+        elif subcommand == "simulate":
+            args += ["--replicates", "10"]
+        else:
+            args += ["--response", "y", "--group", "3,4,5"]
+            args += ["--csv", str(dataset_csv)] if "csv" not in cfg else []
+        code, out, err = run_main(args, capsys)
+        assert code == 2
+        assert out == ""
+        # a config key is quoted in the message; list values fail at their flag
+        named = key if key.startswith("--") else f"--config: {key!r}"
+        assert "groupfx:" in err and named in err and "Traceback" not in err
+
+    def test_config_values_convert_like_flags(self, tmp_path, dataset_csv):
+        # a config string is read by the flag's own type, a JSON number as
+        # its text or, for an integer flag, as an integral float; JSON null
+        # counts as absent
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"p": "6", "sigma2": 2, "r": None}))
+        config = parse_args(["uniform", "--config", str(path)])
+        assert config.options["p"] == 6
+        assert config.options["sigma2"] == 2.0
+        assert len(config.options["r_values"]) == 11
+        path.write_text(json.dumps({"p": 8.0}))
+        assert parse_args(["uniform", "--config", str(path)]).options["p"] == 8
+        path.write_text(json.dumps({"folds": 10.0, "seed": 4.0}))
+        config = parse_args(["clr", "--config", str(path), "--csv", str(dataset_csv),
+                             "--response", "y", "--group", "3,4,5"])
+        assert config.options["folds"] == 10 and type(config.options["folds"]) is int
+
     def test_out_of_range_r_is_1(self, capsys):
         code, out, err = run_main(["uniform", "--p", "8", "--r", "1.5"], capsys)
         assert code == 1

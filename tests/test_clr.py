@@ -7,6 +7,7 @@ import pytest
 
 from groupfx import (
     ClrProblem,
+    Dataset,
     RadiusTooSmallError,
     WeightVector,
     ZeroWeightError,
@@ -25,6 +26,29 @@ PAPER_BETA_STAR = np.array([2.047952, 1.775069, 1.692757])
 PAPER_MIN_NORM_SQ = 10.2104
 PAPER_CANDIDATE = np.array([0.8742301, 1.9232452, 2.9575739])
 PAPER_C = 13.2104
+
+
+def kfold_oracle(data, group, signs, point, n_folds, seed):
+    """k-fold score of one candidate by direct refits: per fold, hold the
+    group at the candidate, refit the other coefficients on the training
+    rows with lstsq and sum the held-out squared error. Returns the score
+    and the number of folds whose training design was rank-deficient."""
+    idx = list(group)
+    rest = [j for j in range(data.q) if j not in idx]
+    beta_g = signs.signs * point
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    perm = rng.permutation(data.n)
+    sse, deficient = 0.0, 0
+    for fold in np.array_split(perm, n_folds):
+        if fold.size == 0:
+            continue
+        train = np.setdiff1d(perm, fold)
+        y_adj = data.y[train] - data.X[np.ix_(train, idx)] @ beta_g
+        coef, _, rank, _ = np.linalg.lstsq(data.X[np.ix_(train, rest)], y_adj, rcond=None)
+        deficient += rank < len(rest)
+        pred = data.X[np.ix_(fold, idx)] @ beta_g + data.X[np.ix_(fold, rest)] @ coef
+        sse += float(np.sum((data.y[fold] - pred) ** 2))
+    return sse, deficient
 
 
 def paper_problem() -> ClrProblem:
@@ -203,3 +227,48 @@ class TestSolveClr:
     def test_offset_grid_requires_offsets(self, data):
         with pytest.raises(RadiusTooSmallError):
             solve_clr_best_offset(data, [3, 4, 5], [])
+
+
+class TestKfoldScores:
+    """k-fold scores and offset scores against per-fold, per-candidate
+    refits (:func:`kfold_oracle`)."""
+
+    OFFSETS = (0.0, 1.0, 3.0, 6.0)
+
+    def check(self, data, group, n_folds, seed=9):
+        deficient = 0
+        best_per_offset = []
+        for offset in self.OFFSETS:
+            sol = solve_clr(data, group, c_offset=offset, selection="kfold",
+                            n_folds=n_folds, seed=seed)
+            oracle = [kfold_oracle(data, group, sol.signs, pt, n_folds, seed)
+                      for pt in sol.candidates]
+            npt.assert_allclose(sol.diagnostics["scores"], [s for s, _ in oracle],
+                                rtol=1e-10)
+            best_per_offset.append(min(s for s, _ in oracle))
+            deficient += sum(d for _, d in oracle)
+        best = solve_clr_best_offset(data, group, self.OFFSETS, selection="kfold",
+                                     n_folds=n_folds, seed=seed)
+        offsets, scores = zip(*best.diagnostics["offset_scores"])
+        assert offsets == self.OFFSETS
+        npt.assert_allclose(scores, best_per_offset, rtol=1e-10)
+        return deficient
+
+    @pytest.mark.parametrize("n_folds", [5, 10])
+    def test_fixture_design(self, table7_like_dataset, n_folds):
+        self.check(table7_like_dataset, [3, 4, 5], n_folds)
+
+    def test_more_folds_than_rows(self, table7_like_dataset):
+        data = table7_like_dataset
+        self.check(data, [3, 4, 5], data.n + 4)
+
+    def test_rank_deficient_training_folds(self, table7_like_dataset):
+        # two predictors that are nonzero on one and on three rows: every
+        # fold that holds those rows out trains on a zero column
+        base = table7_like_dataset
+        spikes = np.zeros((base.n, 2))
+        spikes[4, 0] = 1.5
+        spikes[[1, 7, 11], 1] = (0.5, -1.0, 2.0)
+        data = Dataset(y=base.y, X=np.column_stack([base.X, spikes]),
+                       names=base.names + ("s1", "s2"), has_intercept=True)
+        assert self.check(data, [3, 4, 5], 10) > 0

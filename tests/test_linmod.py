@@ -47,6 +47,11 @@ class TestDatasetValidation:
         data = Dataset.from_columns(np.ones(6), [rng.standard_normal(6)], ["x"])
         assert data.has_intercept and data.names[0] == "intercept"
 
+    def test_duplicate_names_rejected(self):
+        X = np.random.default_rng(0).standard_normal((5, 3))
+        with pytest.raises(DataFormatError, match="duplicate column name 'b'"):
+            Dataset(y=np.ones(5), X=X, names=("a", "b", "b"))
+
     def test_intercept_column_must_be_ones(self):
         with pytest.raises(DataFormatError):
             Dataset(y=np.ones(5),
@@ -238,4 +243,64 @@ class TestLoadCsv:
     def test_ragged_row_rejected(self, tmp_path):
         path = self._write(tmp_path, "y,a,b\n1,2,3\n1,2\n")
         with pytest.raises(DataFormatError):
+            load_csv(path, "y")
+
+    def test_rows_that_even_out_are_still_ragged(self, tmp_path):
+        # 2 + 4 cells make two 3-field rows' worth; the short row is reported
+        path = self._write(tmp_path, "y,a,b\n1,2\n3,4,5,6\n")
+        with pytest.raises(DataFormatError, match=r"data\.csv:2: expected 3 fields, got 2$"):
+            load_csv(path, "y")
+
+    def test_bom_header_accepted(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,a,b\n1,2,3\n2,3,5\n0,1,2\n4,0,1\n")
+        data = load_csv(path, "y")
+        assert data.names == ("intercept", "a", "b")
+        npt.assert_allclose(data.y, [1, 2, 0, 4])
+
+    @pytest.mark.parametrize("header, dup", [("y,a,a,b", "a"), ("y,a,b,y", "y")])
+    def test_duplicate_column_name_rejected(self, tmp_path, header, dup):
+        path = self._write(tmp_path, header + "\n1,2,3,4\n2,3,5,1\n0,1,2,7\n4,0,1,2\n")
+        with pytest.raises(DataFormatError, match=f"duplicate column name '{dup}'"):
+            load_csv(path, "y")
+
+    @pytest.mark.parametrize("bad, message", [
+        ("x", "missing or non-numeric value"),
+        ("", "missing or non-numeric value"),
+        ("inf", "non-finite value"),
+        ("nan", "non-finite value"),
+    ])
+    @pytest.mark.parametrize("later", [["4,nan,1", "4,0"], ["4,0,1"]])
+    def test_first_bad_line_is_reported(self, tmp_path, bad, message, later):
+        # blank lines still count toward the line number, and a later bad
+        # row (wrong field count, non-finite value) does not take precedence
+        rows = ["1,2,3", "", "2,3,5", f"0,{bad},2"] + later
+        path = self._write(tmp_path, "y,a,b\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataFormatError, match=rf"data\.csv:5: {message}$"):
+            load_csv(path, "y")
+
+    def test_first_bad_line_in_a_long_file(self, tmp_path):
+        # a bad value on line 302 wins over a short row on line 402, which is
+        # reported once the value is fixed
+        rows = [f"{i},{i % 7},{i % 5}" for i in range(700)]
+        rows[300] = "1,x,2"
+        rows[400] = "1,2"
+        path = self._write(tmp_path, "y,a,b\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataFormatError, match=r"data\.csv:302: missing"):
+            load_csv(path, "y")
+        rows[300] = "1,2,3"
+        path = self._write(tmp_path, "y,a,b\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataFormatError, match=r"data\.csv:402: expected 3 fields"):
+            load_csv(path, "y")
+        del rows[400]
+        path = self._write(tmp_path, "y,a,b\n" + "\n".join(rows) + "\n")
+        npt.assert_array_equal(load_csv(path, "y").y, [float(r.split(",")[0]) for r in rows])
+
+    def test_cells_parse_like_float(self, tmp_path):
+        path = self._write(tmp_path, "y,a\n 1.5 ,1_0\n2,-1e3\n3,+.5\n")
+        data = load_csv(path, "y")
+        npt.assert_array_equal(data.y, [1.5, 2.0, 3.0])
+        npt.assert_array_equal(data.X[:, 1], [10.0, -1000.0, 0.5])
+        path = self._write(tmp_path, "y,a\n1,2\n2,0x1\n")
+        with pytest.raises(DataFormatError, match=r"data\.csv:3: missing or non-numeric"):
             load_csv(path, "y")
