@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -233,8 +234,8 @@ def _parse_floats(raw, flag: str) -> list[float]:
 
 def _parse_offsets(raw) -> list[float]:
     offsets = _parse_floats(raw, "--c-offset")
-    if any(o < 0.0 for o in offsets):
-        raise UsageError("--c-offset: must be nonnegative")
+    if not all(math.isfinite(o) and o >= 0.0 for o in offsets):
+        raise UsageError("--c-offset: must be finite and nonnegative")
     return offsets
 
 
@@ -287,8 +288,8 @@ def parse_args(argv=None) -> RunConfig:
         else:
             r_values = list(TABLE1_R_VALUES)
         sigma2 = float(merged["sigma2"])
-        if not sigma2 > 0.0:
-            raise UsageError("--sigma2: must be positive")
+        if not (math.isfinite(sigma2) and sigma2 > 0.0):
+            raise UsageError("--sigma2: must be positive and finite")
         config.options = {"p": int(merged["p"]), "r_values": r_values,
                           "sigma2": sigma2}
 
@@ -311,6 +312,9 @@ def parse_args(argv=None) -> RunConfig:
                                  "or give both --w1 and --w2")
         if merged["paper_suite"] and merged["case"] is not None:
             raise UsageError("--case and --paper-suite are mutually exclusive")
+        for key in ("w1", "w2"):
+            if merged[key] is not None and not 0.0 <= merged[key] <= 1.0:
+                raise UsageError(f"--{key}: must lie in [0, 1], got {merged[key]!r}")
         if merged["replicates"] < 1:
             raise UsageError("--replicates: must be >= 1")
         if merged["n"] < 1:

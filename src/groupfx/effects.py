@@ -256,28 +256,27 @@ def estimate_effect(
 
 
 def silvey_variance(fit: OlsFit, c) -> tuple[float, np.ndarray, np.ndarray]:
-    """Effect variance through the eigensystem of X'X.
+    """Effect variance through the eigensystem of X'X = R'R.
 
-    Decomposes c over the orthonormal eigenvectors of X'X (eigenvalues
-    lambda_1 >= ... >= lambda_q) and returns
+    The SVD R = U diag(s) V' gives the orthonormal eigenvectors V of X'X
+    and its eigenvalues lambda_i = s_i^2 (lambda_1 >= ... >= lambda_q),
+    without squaring the condition number. Decomposes c over V and returns
     (sigma2_hat * sum alpha_i^2 / lambda_i, alphas, lambdas); identical to
     the direct quadratic form c' cov c, but exposing which directions make
     the effect hard to estimate.
     """
     c = np.asarray(c, dtype=np.float64).reshape(-1)
-    q = fit.xtx.shape[0]
+    q = fit.R.shape[0]
     if c.shape[0] != q:
         raise DimensionMismatchError(f"expected a length-{q} coefficient vector")
     try:
-        lam, V = np.linalg.eigh(fit.xtx)
+        _, sv, Vt = np.linalg.svd(fit.R)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    order = np.argsort(lam)[::-1]
-    lam = lam[order]
-    V = V[:, order]
+        raise ConvergenceError(f"singular value decomposition failed: {exc}") from exc
+    lam = sv**2
     if lam[-1] <= 0.0:
         raise ConvergenceError("X'X is not positive definite")
-    alphas = V.T @ c
+    alphas = Vt @ c
     variance = float(fit.sigma2_hat * np.sum(alphas**2 / lam))
     return variance, alphas, lam
 

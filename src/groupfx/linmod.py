@@ -103,12 +103,13 @@ class Dataset:
 
 @dataclass(frozen=True)
 class OlsFit:
-    """Least-squares fit: coefficients, residual variance and the unscaled
-    covariance (X'X)^{-1} that every variance formula downstream consumes."""
+    """Least-squares fit: coefficients, residual variance, the thin QR factors
+    X = QR (so X'X = R'R) and the unscaled covariance (X'X)^{-1}."""
 
     beta_hat: np.ndarray
     sigma2_hat: float
-    xtx: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
     xtx_inv: np.ndarray
     dof: int
     rss: float
@@ -162,7 +163,7 @@ class CorrelationMatrix:
 
 
 def fit_ols(data: Dataset) -> OlsFit:
-    """Fit ordinary least squares via one QR decomposition of X.
+    """Fit ordinary least squares via one QR decomposition of X, kept on the fit.
 
     (X'X)^{-1} is formed explicitly because the group-effect variance
     formulas consume it directly.
@@ -201,7 +202,7 @@ def fit_ols(data: Dataset) -> OlsFit:
     return OlsFit(
         beta_hat=beta,
         sigma2_hat=sigma2,
-        xtx=X.T @ X,
+        Q=Q, R=R,
         xtx_inv=xtx_inv,
         dof=dof,
         rss=rss,

@@ -207,13 +207,12 @@ def run_case(config: SimCaseConfig) -> SimReport:
     per-replicate estimates of the eight group effects plus every individual
     coefficient. Reports replicate means and variances for each."""
     design = generate_design(config)
-    fit_ols(design)  # raises SingularDesignError before any replicate work
+    fit = fit_ols(design)  # raises SingularDesignError before any replicate work
 
     X = design.X
     q = X.shape[1]
     # beta_hat = B y for the fixed design; reused by every replicate.
-    Q, R = np.linalg.qr(X)
-    B = np.linalg.solve(R, Q.T)
+    B = np.linalg.solve(fit.R, fit.Q.T)
 
     beta = np.asarray(config.beta)
     corrs = {g: correlation(design, list(v)) for g, v in GROUPS.items()}

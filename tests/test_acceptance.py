@@ -164,7 +164,8 @@ def test_theorem1_cone_property():
 
 def _fit_from_xtx_inv(A: np.ndarray) -> OlsFit:
     return OlsFit(beta_hat=np.zeros(A.shape[0]), sigma2_hat=1.0,
-                  xtx=np.linalg.inv(A), xtx_inv=A, dof=10, rss=10.0)
+                  Q=np.eye(A.shape[0]), R=np.linalg.cholesky(np.linalg.inv(A)).T,
+                  xtx_inv=A, dof=10, rss=10.0)
 
 
 def _grid_min_p2(A: np.ndarray) -> float:

@@ -173,6 +173,10 @@ class TestMainExitCodes:
         ["clr", "--response", "y", "--group", "3,4,5", "--select", "kfold", "--folds", "0"],
         ["clr", "--response", "y", "--group", "3,4,5", "--select", "kfold", "--folds", "1"],
         ["clr", "--response", "y", "--group", "3,4,5", "--folds", "-2"],
+        ["uniform", "--p", "8", "--sigma2", "inf"],
+        ["clr", "--response", "y", "--group", "3,4,5", "--c-offset", "nan"],
+        ["clr", "--response", "y", "--group", "3,4,5", "--c-offset", "inf"],
+        ["clr", "--response", "y", "--group", "3,4,5", "--c-offset", "1,inf"],
     ])
     def test_bad_sigma2_or_folds_is_2(self, args, dataset_csv, capsys):
         if args[0] == "clr":
@@ -181,6 +185,18 @@ class TestMainExitCodes:
         assert code == 2
         assert out == ""
         assert "groupfx:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("args, flag", [
+        (["simulate", "--w1", "2", "--w2", "0.5"], "--w1"),
+        (["simulate", "--w1", "0.5", "--w2", "-0.1"], "--w2"),
+        (["simulate", "--case", "1", "--w1", "1.5"], "--w1"),
+        (["simulate", "--w1", "nan", "--w2", "0.5"], "--w1"),
+    ])
+    def test_bad_mixing_weight_is_2(self, args, flag, capsys):
+        code, out, err = run_main(args + ["--replicates", "10"], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"groupfx: {flag}:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("subcommand, cfg, key", [
         ("uniform", {"sigma2": "abc"}, "sigma2"),
@@ -198,6 +214,10 @@ class TestMainExitCodes:
         ("clr", {"c_offset": [1.0, False]}, "c_offset"),
         ("clr", {"folds": 10.5}, "folds"),
         ("clr", {"csv": ["data.csv"]}, "csv"),
+        ("simulate", {"w1": 2, "w2": 0.5}, "--w1"),
+        ("simulate", {"case": 1, "w2": "nan"}, "--w2"),
+        ("clr", {"c_offset": "nan"}, "--c-offset"),
+        ("clr", {"c_offset": [1.0, "inf"]}, "--c-offset"),
     ])
     def test_bad_config_value_is_2(self, subcommand, cfg, key, tmp_path, dataset_csv,
                                    capsys):

@@ -313,7 +313,7 @@ class TestEstimateEffect:
 class TestSilveyVariance:
     def test_top_eigenvector_single_term(self, random_dataset):
         fit = fit_ols(random_dataset)
-        lam, V = np.linalg.eigh(fit.xtx)
+        lam, V = np.linalg.eigh(random_dataset.X.T @ random_dataset.X)
         c = V[:, -1]  # eigenvector of the largest eigenvalue
         variance, alphas, lambdas = silvey_variance(fit, c)
         npt.assert_allclose(variance, fit.sigma2_hat / lam[-1], rtol=1e-9)
@@ -347,15 +347,39 @@ class TestSilveyVariance:
         fit = fit_ols(random_dataset)
         c = np.random.default_rng(3).standard_normal(random_dataset.q)
         _, alphas, _ = silvey_variance(fit, c)
-        lam, V = np.linalg.eigh(fit.xtx)
-        order = np.argsort(lam)[::-1]
-        npt.assert_allclose(V[:, order] @ alphas, c, rtol=1e-9)
+        lam, V = np.linalg.eigh(random_dataset.X.T @ random_dataset.X)
+        V = V[:, np.argsort(lam)[::-1]]
+        # no eigenvector's sign is defined: align each eigh column with the
+        # basis silvey_variance used before reconstructing c
+        signs = np.sign(V.T @ c) * np.sign(alphas)
+        npt.assert_allclose(V @ (signs * alphas), c, rtol=1e-9)
+
+    @pytest.mark.parametrize("p, r, rtol", [(5, 0.999, 2e-13), (8, 0.9999, 3e-12)])
+    def test_equicorrelated_spectrum_oracle(self, p, r, rtol):
+        # X'X is exactly the equicorrelation matrix C, whose spectrum is
+        # 1 + (p-1) r once and 1 - r with multiplicity p - 1. The squared
+        # singular values of R keep these digits; eigh of a formed X'X
+        # squares the condition number and misses 1 - r by 3-4x the rtol.
+        rng = np.random.default_rng(0)
+        n = 40
+        Q0, _ = np.linalg.qr(rng.standard_normal((n, p)))
+        C = np.full((p, p), r)
+        np.fill_diagonal(C, 1.0)
+        X = Q0 @ np.linalg.cholesky(C).T
+        data = Dataset(y=rng.standard_normal(n), X=X,
+                       names=tuple(f"x{j}" for j in range(p)))
+        fit = fit_ols(data)
+        _, _, lambdas = silvey_variance(fit, np.ones(p))
+        npt.assert_allclose(lambdas, [1 + (p - 1) * r] + [1 - r] * (p - 1), rtol=rtol)
+        npt.assert_allclose(fit.Q @ fit.R, X, rtol=0, atol=1e-12)
+        npt.assert_allclose(fit.Q.T @ fit.Q, np.eye(p), rtol=0, atol=1e-12)
 
 
 class TestOptimalEffect:
     def _fit_from_xtx_inv(self, A):
         return OlsFit(beta_hat=np.zeros(A.shape[0]), sigma2_hat=1.0,
-                      xtx=np.linalg.inv(A), xtx_inv=A, dof=10, rss=10.0)
+                      Q=np.eye(A.shape[0]), R=np.linalg.cholesky(np.linalg.inv(A)).T,
+                      xtx_inv=A, dof=10, rss=10.0)
 
     def test_uniform_design_returns_equal_weights(self):
         for p, r in ((2, 0.5), (3, 0.8), (5, 0.95)):

@@ -100,7 +100,7 @@ class TestFitOls:
         X = rng.standard_normal((25, 5))
         data = Dataset(y=rng.standard_normal(25), X=X, names=tuple("abcde"))
         fit = fit_ols(data)
-        npt.assert_allclose(fit.xtx @ fit.xtx_inv, np.eye(5), atol=1e-8)
+        npt.assert_allclose(X.T @ X @ fit.xtx_inv, np.eye(5), atol=1e-8)
         npt.assert_allclose(fit.xtx_inv, fit.xtx_inv.T, atol=1e-10)
         assert np.all(np.linalg.eigvalsh(fit.cov) > -1e-12)
 
@@ -126,7 +126,7 @@ class TestFitOls:
         data = Dataset(y=np.random.default_rng(0).standard_normal(20), X=X,
                        names=tuple(f"x{j}" for j in range(8)))
         fit = fit_ols(data)
-        npt.assert_allclose(fit.xtx @ fit.xtx_inv, np.eye(8), atol=1e-6)
+        npt.assert_allclose(X.T @ X @ fit.xtx_inv, np.eye(8), atol=1e-6)
 
     def test_underdetermined_rejected(self):
         rng = np.random.default_rng(4)
