@@ -18,7 +18,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -75,85 +75,72 @@ class RunConfig:
     subcommand: str
     input_path: str | None = None
     response: str | None = None
-    groups: list[list[int]] = field(default_factory=list)
-    anchor: int | None = None
     seed: int = 0
     format: str = "csv"
     out: str | None = None
     options: dict = field(default_factory=dict)
 
 
-_DEFAULTS = {
-    "uniform": {"p": 8, "r": None, "r_list": None, "sigma2": 1.0, "format": "csv"},
-    "analyze": {"csv": None, "response": None, "group": [], "anchor": None,
-                "format": "csv"},
-    "simulate": {"case": None, "paper_suite": False, "w1": None, "w2": None,
-                 "replicates": 1000, "n": 15, "seed": 0, "format": "csv"},
-    "clr": {"csv": None, "response": None, "group": [], "anchor": None,
-            "c_offset": 3.0, "select": "min-rss", "folds": 5, "seed": 0,
-            "format": "json"},
-}
-
-
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The argument parser, plus each subcommand's flag actions by dest, so
-    config-file values can be checked with the flags' own type and choices."""
+    """The argument parser, plus each subcommand's (flag action, default) by
+    dest. Flags parse to None when absent, so a config-file value can stand
+    in for them, checked with the flag's own type and choices."""
     parser = argparse.ArgumentParser(
         prog="groupfx",
         description="Estimable group effects for strongly correlated predictors.",
     )
     sub = parser.add_subparsers(dest="subcommand")
-    actions: dict[str, dict[str, argparse.Action]] = {}
+    actions: dict[str, dict[str, tuple[argparse.Action, object]]] = {}
 
-    def add(sp, *names, **kwargs):
-        action = sp.add_argument(*names, **kwargs)
-        actions.setdefault(sp.prog.split()[-1], {})[action.dest] = action
+    def add(sp, *names, default=None, **kwargs):
+        action = sp.add_argument(*names, default=None, **kwargs)
+        actions.setdefault(sp.prog.split()[-1], {})[action.dest] = (action, default)
 
-    def common(sp):
-        add(sp, "--config", help="JSON config file; explicit flags win")
-        add(sp, "--format", choices=("csv", "json"), default=None)
+    def common(sp, fmt="csv"):
+        sp.add_argument("--config", help="JSON config file; explicit flags win")
+        add(sp, "--format", choices=("csv", "json"), default=fmt)
         add(sp, "--out", help="output path (default: stdout)")
 
     sp = sub.add_parser("uniform", help="closed-form uniform-model variances")
-    add(sp, "--p", type=int, default=None)
-    add(sp, "--r", type=float, default=None)
-    add(sp, "--r-list", dest="r_list", default=None,
+    add(sp, "--p", type=int, default=8)
+    add(sp, "--r", type=float)
+    add(sp, "--r-list", dest="r_list",
         help="comma-separated correlation levels")
-    add(sp, "--sigma2", type=float, default=None)
+    add(sp, "--sigma2", type=float, default=1.0)
     common(sp)
 
     sp = sub.add_parser("analyze", help="group-effect table for a CSV dataset")
-    add(sp, "--csv", dest="csv", default=None)
-    add(sp, "--response", default=None)
-    add(sp, "--group", action="append", default=None,
+    add(sp, "--csv", dest="csv")
+    add(sp, "--response")
+    add(sp, "--group", action="append", default=[],
         help="comma-separated predictor names or 1-based positions; repeatable")
-    add(sp, "--anchor", default=None,
+    add(sp, "--anchor",
         help="anchor variable (name or 1-based position)")
     common(sp)
 
     sp = sub.add_parser("simulate", help="Monte Carlo simulation cases")
-    add(sp, "--case", type=int, default=None, choices=(1, 2, 3, 4, 5))
+    add(sp, "--case", type=int, choices=(1, 2, 3, 4, 5))
     add(sp, "--paper-suite", dest="paper_suite", action="store_true",
-        default=None, help="run all five cases plus invariant checks")
-    add(sp, "--w1", type=float, default=None)
-    add(sp, "--w2", type=float, default=None)
-    add(sp, "--replicates", type=int, default=None)
-    add(sp, "--n", type=int, default=None)
-    add(sp, "--seed", type=int, default=None)
+        default=False, help="run all five cases plus invariant checks")
+    add(sp, "--w1", type=float)
+    add(sp, "--w2", type=float)
+    add(sp, "--replicates", type=int, default=1000)
+    add(sp, "--n", type=int, default=15)
+    add(sp, "--seed", type=int, default=0)
     common(sp)
 
     sp = sub.add_parser("clr", help="constrained local regression")
-    add(sp, "--csv", dest="csv", default=None)
-    add(sp, "--response", default=None)
-    add(sp, "--group", action="append", default=None)
-    add(sp, "--anchor", default=None)
-    add(sp, "--c-offset", dest="c_offset", default=None,
+    add(sp, "--csv", dest="csv")
+    add(sp, "--response")
+    add(sp, "--group", action="append", default=[])
+    add(sp, "--anchor")
+    add(sp, "--c-offset", dest="c_offset", default=3.0,
         help="squared-radius offset; a comma-separated list "
              "triggers a grid search")
-    add(sp, "--select", choices=("min-rss", "kfold"), default=None)
-    add(sp, "--folds", type=int, default=None)
-    add(sp, "--seed", type=int, default=None)
-    common(sp)
+    add(sp, "--select", choices=("min-rss", "kfold"), default="min-rss")
+    add(sp, "--folds", type=int, default=5)
+    add(sp, "--seed", type=int, default=0)
+    common(sp, fmt="json")
 
     return parser, actions
 
@@ -192,7 +179,7 @@ def _config_value(key: str, value, action: argparse.Action):
     return value
 
 
-def _merge(ns: argparse.Namespace, subcommand: str, actions: dict) -> dict:
+def _merge(ns: argparse.Namespace, actions: dict) -> dict:
     """Resolve options as: explicit flag > config file > built-in default.
     Config values are checked like the flags they stand in for."""
     cfg = {}
@@ -206,12 +193,12 @@ def _merge(ns: argparse.Namespace, subcommand: str, actions: dict) -> dict:
             raise UsageError("--config: file must contain a JSON object")
 
     merged = {}
-    for key, default in {**_DEFAULTS[subcommand], "out": None}.items():
-        flag = getattr(ns, key, None)
+    for key, (action, default) in actions.items():
+        flag = getattr(ns, key)
         if flag is not None and flag != []:
             merged[key] = flag
         elif cfg.get(key) is not None:
-            merged[key] = _config_value(key, cfg[key], actions[key])
+            merged[key] = _config_value(key, cfg[key], action)
         else:
             merged[key] = default
     return merged
@@ -272,7 +259,7 @@ def parse_args(argv=None) -> RunConfig:
     if ns.subcommand is None:
         raise UsageError("a subcommand is required: uniform, analyze, simulate or clr")
 
-    merged = _merge(ns, ns.subcommand, actions[ns.subcommand])
+    merged = _merge(ns, actions[ns.subcommand])
     config = RunConfig(subcommand=ns.subcommand, format=merged["format"],
                        out=merged.get("out"))
 
@@ -381,6 +368,17 @@ def _resolve_columns(data: Dataset, tokens, flag: str) -> list[int]:
     return indices
 
 
+def _resolve_anchor(data: Dataset, idx: list[int], token) -> int | None:
+    """Position within the group of the ``--anchor`` column, or None when
+    no anchor is given."""
+    if token is None:
+        return None
+    a_col = _resolve_columns(data, [token], "--anchor")[0]
+    if a_col not in idx:
+        raise UsageError("--anchor: anchor must belong to the group")
+    return idx.index(a_col)
+
+
 @dataclass
 class UniformResult:
     p: int
@@ -421,16 +419,10 @@ def run_analyze(config: RunConfig) -> AnalyzeResult:
 
     diagnostics = {"n": data.n, "q": data.q, "dof": fit.dof,
                    "sigma2_hat": fit.sigma2_hat, "groups": []}
-    anchor_token = config.options.get("anchor_token")
     for tokens in config.options["group_tokens"]:
         idx = _resolve_columns(data, tokens, "--group")
         corr = correlation(data, idx)
-        anchor = None
-        if anchor_token is not None:
-            a_col = _resolve_columns(data, [anchor_token], "--anchor")[0]
-            if a_col not in idx:
-                raise UsageError("--anchor: anchor must belong to the group")
-            anchor = idx.index(a_col)
+        anchor = _resolve_anchor(data, idx, config.options.get("anchor_token"))
         signs = apc_arrangement(corr, anchor)
         w_w = variability_weights(corr)
         w_a = WeightVector.average(len(idx))
@@ -459,14 +451,8 @@ def run_simulate(config: RunConfig) -> SimulateResult:
         case_config = sim_mod.paper_case_config(
             opts["case"], seed=config.seed, replicates=opts["replicates"], n=opts["n"]
         )
-        if opts["w1"] is not None or opts["w2"] is not None:
-            case_config = sim_mod.SimCaseConfig(
-                w1=opts["w1"] if opts["w1"] is not None else case_config.w1,
-                w2=opts["w2"] if opts["w2"] is not None else case_config.w2,
-                n=case_config.n, replicates=case_config.replicates,
-                seed=case_config.seed, transforms=case_config.transforms,
-                label=case_config.label,
-            )
+        weights = {k: opts[k] for k in ("w1", "w2") if opts[k] is not None}
+        case_config = replace(case_config, **weights)
     else:
         case_config = sim_mod.SimCaseConfig(
             w1=opts["w1"], w2=opts["w2"], n=opts["n"],
@@ -478,13 +464,7 @@ def run_simulate(config: RunConfig) -> SimulateResult:
 def run_clr(config: RunConfig) -> ClrResult:
     data = load_csv(config.input_path, config.response)
     idx = _resolve_columns(data, config.options["group_tokens"][0], "--group")
-    anchor_token = config.options.get("anchor_token")
-    anchor = None
-    if anchor_token is not None:
-        a_col = _resolve_columns(data, [anchor_token], "--anchor")[0]
-        if a_col not in idx:
-            raise UsageError("--anchor: anchor must belong to the group")
-        anchor = idx.index(a_col)
+    anchor = _resolve_anchor(data, idx, config.options.get("anchor_token"))
     offsets = config.options["c_offsets"]
     if len(offsets) == 1:
         solution = clr_mod.solve_clr(

@@ -152,9 +152,7 @@ def _heldout_residuals(data: Dataset, group, n_folds: int, seed: int) -> np.ndar
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     perm = rng.permutation(data.n)
     resid = np.empty_like(Z)
-    for fold in np.array_split(perm, n_folds):
-        if fold.size == 0:
-            continue
+    for fold in np.array_split(perm, min(n_folds, data.n)):
         held = np.zeros(data.n, dtype=bool)
         held[fold] = True
         coef, *_ = np.linalg.lstsq(X_rest[~held], Z[~held], rcond=None)
@@ -168,7 +166,7 @@ def _heldout_sse(resid: np.ndarray, beta_group: np.ndarray) -> float:
     return float(r @ r)
 
 
-def _offset_solver(data, group, selection, n_folds, seed, anchor, direction, fit):
+def _offset_solver(data, group, selection, n_folds, seed, anchor, fit):
     """Do the part of :func:`solve_clr` that does not depend on c_offset (OLS
     fit, group geometry, search direction, k-fold operator) and return the
     function that finishes a solve at a given c_offset."""
@@ -181,8 +179,7 @@ def _offset_solver(data, group, selection, n_folds, seed, anchor, direction, fit
     effect = estimate_effect(fit, idx, w, signs)
     problem = ClrProblem(w=w, tau_hat=effect.value)
     beta_star, mns = min_norm_point(problem)
-    if direction is None:
-        direction = _default_direction(w.weights, signs.signs * fit.beta_hat[idx], beta_star)
+    direction = _default_direction(w.weights, signs.signs * fit.beta_hat[idx], beta_star)
     resid = _heldout_residuals(data, idx, n_folds, seed) if selection == "kfold" else None
     fixed = {"tau_hat": effect.value, "tau_se": effect.std_error,
              "tau_p_value": effect.p_value, "rss_ols": fit.rss,
@@ -219,7 +216,6 @@ def solve_clr(
     n_folds: int = 5,
     seed: int = 0,
     anchor: int | None = None,
-    direction: np.ndarray | None = None,
     fit: OlsFit | None = None,
 ) -> ClrSolution:
     """Run the full constrained local regression for one group.
@@ -229,8 +225,9 @@ def solve_clr(
     picks one of the two sphere intersection points by the requested
     strategy: ``"min-rss"`` (training residual sum of squares) or
     ``"kfold"`` (cross-validated prediction error with fold assignment drawn
-    from ``seed``), scored by one least-squares solve per fold that serves
-    both candidates. Coefficients outside the group keep their OLS values.
+    from ``seed``; more folds than rows means leave-one-out), scored by one
+    least-squares solve per fold that serves both candidates. Coefficients
+    outside the group keep their OLS values.
     """
     if selection not in ("min-rss", "kfold"):
         raise ValueError(f"unknown selection strategy {selection!r}")
@@ -240,7 +237,7 @@ def solve_clr(
         raise RadiusTooSmallError("c_offset must be nonnegative")
     slot = _shared_solver.get() or [None]
     if slot[0] is None:
-        slot[0] = _offset_solver(data, group, selection, n_folds, seed, anchor, direction, fit)
+        slot[0] = _offset_solver(data, group, selection, n_folds, seed, anchor, fit)
     return slot[0](c_offset)
 
 

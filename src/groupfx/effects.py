@@ -40,28 +40,17 @@ _WEIGHT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Effect weights together with their normalization regime.
-
-    ``simplex``: weights sum to 1 and are nonnegative (proper averages);
-    ``signed_l1``: absolute weights sum to 1 (normalized effects);
-    ``raw``: no constraint.
-    """
+    """Simplex effect weights: nonnegative and summing to 1 (proper
+    averages). Other weights go to :func:`estimate_effect` as plain arrays."""
 
     weights: np.ndarray
-    regime: str = "simplex"
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         if w.size == 0 or not np.isfinite(w).all():
             raise DimensionMismatchError("weights must be a non-empty finite vector")
-        if self.regime == "simplex":
-            if w.min() < -_WEIGHT_TOL or abs(w.sum() - 1.0) > _WEIGHT_TOL:
-                raise ValueError("simplex weights must be nonnegative and sum to 1")
-        elif self.regime == "signed_l1":
-            if abs(np.abs(w).sum() - 1.0) > _WEIGHT_TOL:
-                raise ValueError("signed_l1 weights must have absolute sum 1")
-        elif self.regime != "raw":
-            raise ValueError(f"unknown weight regime {self.regime!r}")
+        if w.min() < -_WEIGHT_TOL or abs(w.sum() - 1.0) > _WEIGHT_TOL:
+            raise ValueError("simplex weights must be nonnegative and sum to 1")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -71,14 +60,14 @@ class WeightVector:
     @classmethod
     def average(cls, p: int) -> "WeightVector":
         """The equal-weight vector (1/p, ..., 1/p)."""
-        return cls(np.full(p, 1.0 / p), "simplex")
+        return cls(np.full(p, 1.0 / p))
 
     @classmethod
     def basis(cls, p: int, j: int) -> "WeightVector":
         """The j-th unit basis vector (an individual effect)."""
         w = np.zeros(p)
         w[j] = 1.0
-        return cls(w, "simplex")
+        return cls(w)
 
 
 @dataclass(frozen=True)
@@ -101,10 +90,6 @@ class SignArrangement:
     @property
     def p(self) -> int:
         return self.signs.shape[0]
-
-    @classmethod
-    def all_positive(cls, p: int) -> "SignArrangement":
-        return cls(np.ones(p))
 
 
 @dataclass(frozen=True)
@@ -140,18 +125,21 @@ def t_sf_two_sided(t: float, dof: int) -> float:
     return float(betainc(0.5 * dof, 0.5, x))
 
 
+def _worst_correlations(corr: CorrelationMatrix) -> np.ndarray:
+    """Each variable's smallest |correlation| with the others: anchor a
+    satisfies the APC condition when its entry exceeds sqrt(2)/2."""
+    A = np.abs(corr.values)
+    np.fill_diagonal(A, np.inf)
+    return A.min(axis=1)
+
+
 def check_apc_condition(corr: CorrelationMatrix, anchor: int = 0) -> bool:
     """True when every other variable's |correlation| with the anchor exceeds
     sqrt(2)/2, which guarantees an APC arrangement exists."""
     p = corr.p
     if anchor < 0 or anchor >= p:
         raise DimensionMismatchError(f"anchor {anchor} out of range for p={p}")
-    others = np.abs(np.delete(corr.values[anchor], anchor))
-    return bool(np.all(others > APC_THRESHOLD))
-
-
-def _anchor_score(corr: CorrelationMatrix, anchor: int) -> float:
-    return float(np.min(np.abs(np.delete(corr.values[anchor], anchor))))
+    return bool(_worst_correlations(corr)[anchor] > APC_THRESHOLD)
 
 
 def apc_arrangement(corr: CorrelationMatrix, anchor: int | None = None) -> SignArrangement:
@@ -159,22 +147,19 @@ def apc_arrangement(corr: CorrelationMatrix, anchor: int | None = None) -> SignA
 
     Signs follow the anchor variable: sgn(corr(anchor, j)) for each j, with
     zero correlations kept at +1 and the whole vector flipped if needed so
-    the first entry is +1. When no anchor is given, the first variable is
-    used if it satisfies the APC condition, otherwise the first satisfying
-    anchor; if none qualifies, the anchor with the largest worst-case
-    |correlation| is used and ``condition_met`` is False (the result is then
-    not guaranteed to be APC).
+    the first entry is +1. When no anchor is given, the first variable that
+    satisfies the APC condition is used; if none qualifies, the anchor with
+    the largest worst-case |correlation| is used and ``condition_met`` is
+    False (the result is then not guaranteed to be APC).
     """
     p = corr.p
     if p < 2:
         raise DimensionMismatchError("a group needs at least two variables")
 
+    scores = _worst_correlations(corr)
     if anchor is None:
-        candidates = [a for a in range(p) if check_apc_condition(corr, a)]
-        if candidates:
-            chosen = candidates[0] if 0 not in candidates else 0
-        else:
-            chosen = max(range(p), key=lambda a: _anchor_score(corr, a))
+        ok = scores > APC_THRESHOLD
+        chosen = int(np.argmax(ok)) if ok.any() else int(np.argmax(scores))
         failure = "APC condition fails for every anchor"
     else:
         chosen = int(anchor)
@@ -182,7 +167,7 @@ def apc_arrangement(corr: CorrelationMatrix, anchor: int | None = None) -> SignA
             raise DimensionMismatchError(f"anchor {chosen} out of range for p={p}")
         failure = f"APC condition fails for anchor {chosen}"
 
-    met = check_apc_condition(corr, chosen)
+    met = bool(scores[chosen] > APC_THRESHOLD)
     if not met:
         warnings.warn(
             f"{failure}; returned arrangement is not guaranteed to make "
@@ -205,13 +190,13 @@ def variability_weights(corr: CorrelationMatrix) -> WeightVector:
     s = corr.column_sds
     if np.any(s <= 0.0):
         raise ZeroVarianceError("column sd-norms must be positive")
-    return WeightVector(s / s.sum(), "simplex")
+    return WeightVector(s / s.sum())
 
 
 def estimate_effect(
     fit: OlsFit,
     group,
-    w: WeightVector,
+    w: WeightVector | np.ndarray,
     signs: SignArrangement | None = None,
 ) -> EffectEstimate:
     """Estimate the group effect sum_i signs_i w_i beta_{group(i)}.
@@ -332,16 +317,16 @@ def optimal_effect(fit: OlsFit, group) -> tuple[SignArrangement, WeightVector, f
     u = best_s * (G @ best_s)
     return (
         SignArrangement(signs=best_s),
-        WeightVector(u / u.sum(), "simplex"),
+        WeightVector(u / u.sum()),
         fit.sigma2_hat / best_val,
     )
 
 
-def detect_groups(corr: CorrelationMatrix, threshold: float = APC_THRESHOLD):
-    """Connected components of the |correlation| > threshold graph, as lists
+def detect_groups(corr: CorrelationMatrix):
+    """Connected components of the |correlation| > sqrt(2)/2 graph, as lists
     of indices into the correlation matrix. Singletons are included."""
     p = corr.p
-    adj = np.abs(corr.values) > threshold
+    adj = np.abs(corr.values) > APC_THRESHOLD
     seen = [False] * p
     groups = []
     for start in range(p):

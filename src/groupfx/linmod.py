@@ -82,22 +82,19 @@ class Dataset:
         return self.X.shape[1]
 
     @classmethod
-    def from_columns(cls, y, columns, names, add_intercept=True) -> "Dataset":
-        """Assemble a dataset from predictor columns, optionally prepending
-        the explicit intercept column."""
+    def from_columns(cls, y, columns, names) -> "Dataset":
+        """Assemble a dataset from predictor columns, prepending the explicit
+        intercept column."""
         cols = [np.asarray(c, dtype=np.float64).reshape(-1) for c in columns]
         names = list(names)
         if len(cols) != len(names):
             raise DimensionMismatchError("one name per column required")
-        if add_intercept:
-            n = len(np.asarray(y).reshape(-1))
-            cols = [np.ones(n)] + cols
-            names = [INTERCEPT_NAME] + names
+        n = len(np.asarray(y).reshape(-1))
         return cls(
             y=np.asarray(y, dtype=np.float64),
-            X=np.column_stack(cols),
-            names=tuple(names),
-            has_intercept=add_intercept,
+            X=np.column_stack([np.ones(n)] + cols),
+            names=(INTERCEPT_NAME, *names),
+            has_intercept=True,
         )
 
 
@@ -118,10 +115,6 @@ class OlsFit:
     def cov(self) -> np.ndarray:
         """Estimated covariance of beta_hat: sigma2_hat * (X'X)^{-1}."""
         return self.sigma2_hat * self.xtx_inv
-
-    @property
-    def std_errors(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.cov))
 
 
 @dataclass(frozen=True)
@@ -279,13 +272,13 @@ def standardize(data: Dataset, group) -> tuple[Dataset, np.ndarray]:
     return out, scales
 
 
-def load_csv(path, response: str, add_intercept: bool = True) -> Dataset:
+def load_csv(path, response: str) -> Dataset:
     """Read a headered CSV file into a :class:`Dataset`.
 
     The named response column becomes y; all remaining columns become
-    predictors in file order. Missing or non-numeric cells are rejected, and
-    an error names the first offending line. A UTF-8 byte-order mark is
-    ignored.
+    predictors in file order, after the explicit intercept column. Missing
+    or non-numeric cells are rejected, and an error names the first
+    offending line. A UTF-8 byte-order mark is ignored.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -329,7 +322,6 @@ def load_csv(path, response: str, add_intercept: bool = True) -> Dataset:
         y,
         [table[:, j] for j in pred_idx],
         [header[j] for j in pred_idx],
-        add_intercept=add_intercept,
     )
 
 

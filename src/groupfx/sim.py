@@ -180,7 +180,7 @@ def generate_design(config: SimCaseConfig) -> Dataset:
     beta = np.asarray(config.beta)
     y_mean = beta[0] + x @ beta[1:]
     return Dataset.from_columns(
-        y_mean, list(x.T), [f"x{j}" for j in range(1, N_VARS + 1)], add_intercept=True
+        y_mean, list(x.T), [f"x{j}" for j in range(1, N_VARS + 1)]
     )
 
 

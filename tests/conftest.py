@@ -88,4 +88,4 @@ def random_dataset() -> Dataset:
     beta = np.array([1.5, -0.5, 0.0, 2.0, 1.0])
     y = 3.0 + X @ beta + rng.standard_normal(40)
     return Dataset.from_columns(y, list(X.T),
-                                [f"v{j}" for j in range(5)], add_intercept=True)
+                                [f"v{j}" for j in range(5)])

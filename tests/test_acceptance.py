@@ -233,7 +233,7 @@ def test_optimality_suite():
 def test_clr_geometry():
     failures = []
     w_print = np.array([0.3712, 0.3218, 0.3068])
-    problem = ClrProblem(w=WeightVector(w_print / w_print.sum(), "simplex"),
+    problem = ClrProblem(w=WeightVector(w_print / w_print.sum()),
                          tau_hat=1.8511)
     beta_star, min_norm_sq = min_norm_point(problem)
     published = np.array([2.047952, 1.775069, 1.692757])

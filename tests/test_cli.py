@@ -186,6 +186,15 @@ class TestMainExitCodes:
         assert out == ""
         assert "groupfx:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("folds", ["1000000000000000000", "100000000000000000000"])
+    def test_huge_fold_count_is_leave_one_out(self, folds, dataset_csv, capsys):
+        # the dataset has 15 rows; more folds than rows means leave-one-out
+        args = ["clr", "--csv", str(dataset_csv), "--response", "y",
+                "--group", "3,4,5", "--select", "kfold"]
+        code, out, err = run_main(args + ["--folds", folds], capsys)
+        assert code == 0 and err == ""
+        assert out == run_main(args + ["--folds", "15"], capsys)[1]
+
     @pytest.mark.parametrize("args, flag", [
         (["simulate", "--w1", "2", "--w2", "0.5"], "--w1"),
         (["simulate", "--w1", "0.5", "--w2", "-0.1"], "--w2"),

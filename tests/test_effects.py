@@ -9,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from groupfx import (
+    APC_THRESHOLD,
     CorrelationMatrix,
     Dataset,
     DimensionMismatchError,
@@ -61,19 +62,11 @@ def _corr(values, sds=None):
 
 class TestWeightVector:
     def test_simplex_validation(self):
-        WeightVector([0.2, 0.3, 0.5], "simplex")
+        WeightVector([0.2, 0.3, 0.5])
         with pytest.raises(ValueError):
-            WeightVector([0.5, 0.6], "simplex")
+            WeightVector([0.5, 0.6])
         with pytest.raises(ValueError):
-            WeightVector([1.5, -0.5], "simplex")
-
-    def test_signed_l1_validation(self):
-        WeightVector([0.5, -0.5], "signed_l1")
-        with pytest.raises(ValueError):
-            WeightVector([0.5, -0.6], "signed_l1")
-
-    def test_raw_unconstrained(self):
-        WeightVector([5.0, -3.0], "raw")
+            WeightVector([1.5, -0.5])
 
     def test_builders(self):
         npt.assert_allclose(WeightVector.average(4).weights, np.full(4, 0.25))
@@ -190,6 +183,40 @@ class TestApcArrangement:
         arr = apc_arrangement(_corr(R))
         assert arr.anchor == 2 and arr.condition_met
 
+    @staticmethod
+    def loop_anchor(R):
+        """The anchor choice as a per-anchor loop: the first variable whose
+        |correlations| with all others exceed the threshold (variable 0 when
+        it qualifies), else the first with the largest worst |correlation|."""
+        p = R.shape[0]
+        worst = [float(np.min(np.abs(np.delete(R[a], a)))) for a in range(p)]
+        ok = [a for a in range(p) if np.all(np.abs(np.delete(R[a], a)) > APC_THRESHOLD)]
+        if ok:
+            return (0 if 0 in ok else ok[0]), True
+        return max(range(p), key=lambda a: worst[a]), False
+
+    @pytest.mark.parametrize("levels", [
+        None,
+        (0.0, 0.5, 0.7, APC_THRESHOLD, 0.71, 0.8, 0.9, 1.0),
+    ], ids=["random", "tie-heavy"])
+    def test_anchor_matches_per_anchor_loop(self, levels):
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            p = int(rng.integers(2, 8))
+            if levels is None:
+                R = rng.uniform(-1.0, 1.0, (p, p))
+            else:
+                R = rng.choice(levels, (p, p)) * rng.choice((-1.0, 1.0), (p, p))
+            R = np.triu(R, 1) + np.triu(R, 1).T + np.eye(p)
+            corr = _corr(R)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                arr = apc_arrangement(corr)
+            assert (arr.anchor, arr.condition_met) == self.loop_anchor(corr.values)
+            for a in range(p):
+                assert check_apc_condition(corr, a) == bool(
+                    np.all(np.abs(np.delete(corr.values[a], a)) > APC_THRESHOLD))
+
     def test_theorem_cone_property(self):
         # inside the condition cone the arrangement always yields all
         # pairwise positive correlations
@@ -217,7 +244,6 @@ class TestVariabilityWeights:
     def test_simplex_regime(self):
         corr = _corr(np.eye(2), sds=[3.0, 7.0])
         w = variability_weights(corr)
-        assert w.regime == "simplex"
         npt.assert_allclose(w.weights.sum(), 1.0)
 
 
@@ -261,9 +287,9 @@ class TestEstimateEffect:
         rng = np.random.default_rng(0)
         w1, w2 = rng.standard_normal(3), rng.standard_normal(3)
         a, b = 1.7, -0.6
-        e1 = estimate_effect(fit, group, WeightVector(w1, "raw"))
-        e2 = estimate_effect(fit, group, WeightVector(w2, "raw"))
-        combo = estimate_effect(fit, group, WeightVector(a * w1 + b * w2, "raw"))
+        e1 = estimate_effect(fit, group, w1)
+        e2 = estimate_effect(fit, group, w2)
+        combo = estimate_effect(fit, group, a * w1 + b * w2)
         npt.assert_allclose(combo.value, a * e1.value + b * e2.value, rtol=1e-10)
         # bilinear variance identity with the explicit cross term
         block = fit.cov[np.ix_(group, group)]

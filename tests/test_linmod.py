@@ -41,8 +41,8 @@ class TestDatasetValidation:
     def test_constant_column_rejected_unless_intercept(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ZeroVarianceError):
-            Dataset.from_columns(np.ones(6), [np.full(6, 2.0), rng.standard_normal(6)],
-                                 ["c", "x"], add_intercept=False)
+            Dataset(y=np.ones(6), X=np.column_stack([np.full(6, 2.0), rng.standard_normal(6)]),
+                    names=("c", "x"))
         # the declared intercept column is fine
         data = Dataset.from_columns(np.ones(6), [rng.standard_normal(6)], ["x"])
         assert data.has_intercept and data.names[0] == "intercept"
