@@ -382,3 +382,35 @@ def test_cli_import_leaves_scipy_special_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.strip() == "False"
+
+
+_MAIN_WITHOUT_SCIPY = """
+import sys
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from groupfx.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--response", "y", "--group", "3,4,5"],
+    ["clr", "--response", "y", "--group", "3,4,5", "--select", "kfold", "--seed", "5"],
+])
+def test_cli_runs_without_scipy(dataset_csv, args):
+    # numpy is the only runtime dependency: analyze and clr, which test
+    # effects, print the same report when scipy cannot be imported
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    outputs = []
+    for mode in ("block", "allow"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _MAIN_WITHOUT_SCIPY, mode, args[0],
+             "--csv", str(dataset_csv)] + args[1:],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") > 3

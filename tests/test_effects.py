@@ -2,6 +2,7 @@
 variance form and the dual-form optimal effect."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -93,6 +94,59 @@ class TestTTail:
         assert t_sf_two_sided(np.inf, 4) == 0.0
         with pytest.raises(ValueError):
             t_sf_two_sided(1.0, 0)
+
+    @pytest.mark.parametrize("dof", [1, 2])
+    def test_closed_forms(self, dof):
+        # dof 1 (Cauchy): p = (2/pi) atan(1/|t|); dof 2: p = 1 - |t|/s =
+        # 2 / (s (s + |t|)) with s = sqrt(2 + t^2)
+        for t in np.geomspace(1e-3, 1e6, 400):
+            if dof == 1:
+                expected = 2.0 / math.pi * math.atan(1.0 / t)
+            else:
+                s = math.sqrt(2.0 + t * t)
+                expected = 2.0 / (s * (s + t))
+            for signed in (t, -t):
+                assert t_sf_two_sided(signed, dof) == pytest.approx(
+                    expected, rel=1e-13, abs=0.0)
+
+    def test_against_scipy_betainc(self):
+        # Both sides evaluate I_x(dof/2, 1/2). Below |t| ~ 0.1 at large dof
+        # scipy is the less accurate side, because it receives
+        # x = dof / (dof + t^2) already rounded next to 1, so the sample
+        # starts at |t| = 0.1.
+        betainc = pytest.importorskip("scipy.special").betainc
+        rng = np.random.default_rng(20)
+        dofs = np.floor(10.0 ** rng.uniform(0.0, 4.0, 2000)).astype(int)
+        ts = 10.0 ** rng.uniform(-1.0, math.log10(300.0), 2000)
+        ts *= rng.choice([-1.0, 1.0], 2000)
+        checked = 0
+        for t, dof in zip(ts, dofs):
+            expected = float(betainc(0.5 * dof, 0.5, dof / (dof + t * t)))
+            if expected > 1e-300:
+                assert t_sf_two_sided(float(t), int(dof)) == pytest.approx(
+                    expected, rel=1e-11, abs=0.0), (t, dof)
+                checked += 1
+        assert checked > 1500
+
+    def test_properties(self):
+        grid = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 300)])
+        for dof in (1, 2, 3, 7, 30, 49, 120, 1000, 10**5):
+            assert t_sf_two_sided(0.0, dof) == 1.0
+            assert t_sf_two_sided(np.inf, dof) == 0.0
+            assert t_sf_two_sided(-np.inf, dof) == 0.0
+            p = [t_sf_two_sided(t, dof) for t in grid]
+            assert p == [t_sf_two_sided(-t, dof) for t in grid]
+            assert all(0.0 <= v <= 1.0 for v in p)
+            assert all(b <= a for a, b in zip(p, p[1:]))
+
+    def test_nan_inputs_raise(self):
+        # a NaN t must not read as an infinite one (p = 0), and a NaN or
+        # infinite dof must not reach the continued fraction
+        with pytest.raises(ValueError):
+            t_sf_two_sided(np.nan, 5)
+        for dof in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                t_sf_two_sided(1.0, dof)
 
 
 class TestApcCondition:
@@ -312,6 +366,13 @@ class TestEstimateEffect:
             estimate_effect(fit, [1, 2], WeightVector.average(3))
         with pytest.raises(DimensionMismatchError):
             estimate_effect(fit, [99], WeightVector.basis(1, 0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raw_weights_rejected(self, random_dataset, bad):
+        # a NaN variance must not pass for a zero one (t = inf, p = 0)
+        fit = fit_ols(random_dataset)
+        with pytest.raises(DimensionMismatchError, match="finite"):
+            estimate_effect(fit, [1, 2], np.array([bad, 1.0]))
 
     def test_variance_transfer_to_standardized_model(self, random_dataset):
         # the raw-model effect variance equals h^2 times the standardized
