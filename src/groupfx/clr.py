@@ -23,9 +23,12 @@ from .effects import (
     variability_weights,
 )
 from .exceptions import RadiusTooSmallError, ZeroWeightError
-from .linmod import Dataset, OlsFit, correlation, fit_ols
+from .linmod import RCOND_MIN, Dataset, OlsFit, correlation, fit_ols
 
 _MEMBERSHIP_TOL = 1e-8
+# Smallest eigenvalue of Q_T'Q_T for which a k-fold refit is downdated from
+# the full-data QR; a held-out block of leverage 1 - delta has eigenvalue delta.
+_DOWNDATE_MIN_EIG = 1e-3
 
 
 @dataclass(frozen=True)
@@ -144,19 +147,44 @@ def _heldout_residuals(data: Dataset, group, n_folds: int, seed: int) -> np.ndar
     minimum-norm solution is linear in its right-hand side, so this holds
     for rank-deficient training designs too. Each row is held out once, so
     the k-fold score of b is ||a - M b||^2 (see :func:`_heldout_sse`).
+
+    All folds share one QR factorization X_rest = QR. With C = Q_T'Q_T =
+    I - Q_H'Q_H, the refit's prediction X_H,rest lstsq(X_T,rest, Z_T) is
+    Q_H g with g = C^-1 (Q'Z - Q_H'Z_H) whenever X_T,rest has full column
+    rank: Allen's PRESS identity, generalised from one held-out row to a
+    block. A fold whose C has an eigenvalue at or below ``_DOWNDATE_MIN_EIG``
+    (held-out leverage near 1, or a rank-deficient training design) is refit
+    by ``lstsq``, the only way to its minimum-norm answer, and so is every
+    fold when X_rest itself is near-singular.
     """
     idx = list(group)
     rest = [j for j in range(data.q) if j not in idx]
     Z = np.column_stack((data.y, data.X[:, idx]))
+    if not rest:  # nothing to refit
+        return Z
     X_rest = data.X[:, rest]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     perm = rng.permutation(data.n)
+    Q, R = np.linalg.qr(X_rest)
+    sv = np.linalg.svd(R, compute_uv=False)
+    # solve_clr(fit=...) skips fit_ols's rank check, and Q spans more than a
+    # near-singular X_rest
+    downdate = sv[-1] ** 2 > RCOND_MIN * sv[0] ** 2
+    QtZ = Q.T @ Z
+    eye = np.eye(len(rest))
     resid = np.empty_like(Z)
     for fold in np.array_split(perm, min(n_folds, data.n)):
-        held = np.zeros(data.n, dtype=bool)
-        held[fold] = True
-        coef, *_ = np.linalg.lstsq(X_rest[~held], Z[~held], rcond=None)
-        resid[held] = Z[held] - X_rest[held] @ coef
+        Q_H, Z_H = Q[fold], Z[fold]
+        if downdate:
+            lam, V = np.linalg.eigh(eye - Q_H.T @ Q_H)
+            if lam[0] > _DOWNDATE_MIN_EIG:
+                g = V @ ((V.T @ (QtZ - Q_H.T @ Z_H)) / lam[:, None])
+                resid[fold] = Z_H - Q_H @ g
+                continue
+        train = np.ones(data.n, dtype=bool)
+        train[fold] = False
+        coef, *_ = np.linalg.lstsq(X_rest[train], Z[train], rcond=None)
+        resid[fold] = Z_H - X_rest[fold] @ coef
     return resid
 
 
@@ -225,9 +253,9 @@ def solve_clr(
     picks one of the two sphere intersection points by the requested
     strategy: ``"min-rss"`` (training residual sum of squares) or
     ``"kfold"`` (cross-validated prediction error with fold assignment drawn
-    from ``seed``; more folds than rows means leave-one-out), scored by one
-    least-squares solve per fold that serves both candidates. Coefficients
-    outside the group keep their OLS values.
+    from ``seed``; more folds than rows means leave-one-out), whose refits
+    for every fold and both candidates come from one QR factorization.
+    Coefficients outside the group keep their OLS values.
     """
     if selection not in ("min-rss", "kfold"):
         raise ValueError(f"unknown selection strategy {selection!r}")

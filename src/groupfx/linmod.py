@@ -10,6 +10,7 @@ immutable in spirit and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -278,40 +279,13 @@ def load_csv(path, response: str) -> Dataset:
     The named response column becomes y; all remaining columns become
     predictors in file order, after the explicit intercept column. Missing
     or non-numeric cells are rejected, and an error names the first
-    offending line. A UTF-8 byte-order mark is ignored.
+    offending line. The file must be UTF-8; a byte-order mark is ignored.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        dup = next((h for i, h in enumerate(header) if h in header[:i]), None)
-        if dup is not None:
-            raise DataFormatError(f"{path}: duplicate column name {dup!r}")
-        if response not in header:
-            raise DataFormatError(
-                f"{path}: response column {response!r} not found in header"
-            )
-        ncol = len(header)
-
-        def cells():
-            for row in reader:
-                if len(row) == ncol:
-                    yield from row
-                elif row:  # blank lines are skipped
-                    raise ValueError("wrong field count")
-
-        # numpy parses each cell with float(), so the accepted set is the
-        # same; any bad file is read again row by row to name its first bad line
-        try:
-            table = np.fromiter(cells(), dtype=np.float64).reshape(-1, ncol)
-        except ValueError:
-            table = None
-        if table is None or not np.isfinite(table).all():
-            fh.seek(0)
-            table = _parse_rows(path, csv.reader(fh), ncol)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header, table = _read_table(path, fh, response)
+    except UnicodeDecodeError:
+        raise DataFormatError(f"{path}: not valid UTF-8 text") from None
     if table.shape[0] == 0:
         raise DataFormatError(f"{path}: no data rows")
 
@@ -325,24 +299,77 @@ def load_csv(path, response: str) -> Dataset:
     )
 
 
+def _read_table(path, fh, response: str) -> tuple[list[str], np.ndarray]:
+    """Check the header of an open CSV file and parse its data rows."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError(f"{path}: empty file") from None
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}:1: {exc}") from None
+    header = [h.strip() for h in header]
+    dup = next((h for i, h in enumerate(header) if h in header[:i]), None)
+    if dup is not None:
+        raise DataFormatError(f"{path}: duplicate column name {dup!r}")
+    if response not in header:
+        raise DataFormatError(
+            f"{path}: response column {response!r} not found in header"
+        )
+    ncol = len(header)
+    limit = csv.field_size_limit()
+
+    def rows():
+        # With newline="" a line holding no quote splits into exactly the
+        # cells csv.reader gives; csv.reader also caps a cell at ``limit``.
+        for line in fh:
+            line = line.rstrip("\r\n")
+            if '"' in line or len(line) > limit:
+                raise ValueError("line for csv.reader")
+            if line:  # blank lines are skipped
+                row = line.split(",")
+                if len(row) != ncol:
+                    raise ValueError("wrong field count")
+                yield row
+
+    # every cell is parsed by float(), as in _parse_rows, so both paths accept
+    # the same strings; any other file is read again row by row, which also
+    # names its first bad line
+    try:
+        table = np.fromiter(map(float, itertools.chain.from_iterable(rows())),
+                            dtype=np.float64).reshape(-1, ncol)
+    except UnicodeDecodeError:
+        raise
+    except ValueError:
+        table = None
+    if table is None or not np.isfinite(table).all():
+        fh.seek(0)
+        table = _parse_rows(path, csv.reader(fh), ncol)
+    return header, table
+
+
 def _parse_rows(path, reader, ncol: int) -> np.ndarray:
     """Parse the data rows of a CSV reader one at a time with ``float()``,
-    raising at the first line with a wrong field count or a missing,
-    non-numeric or non-finite value."""
+    raising at the first line with a wrong field count, an oversized cell or
+    a missing, non-numeric or non-finite value."""
     next(reader)
     rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != ncol:
-            raise DataFormatError(f"{path}:{lineno}: expected {ncol} fields, got {len(row)}")
-        try:
-            vals = [float(v) for v in row]
-        except ValueError:
-            raise DataFormatError(
-                f"{path}:{lineno}: missing or non-numeric value"
-            ) from None
-        if not all(np.isfinite(vals)):
-            raise DataFormatError(f"{path}:{lineno}: non-finite value")
-        rows.append(vals)
+    lineno = 1
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != ncol:
+                raise DataFormatError(f"{path}:{lineno}: expected {ncol} fields, got {len(row)}")
+            try:
+                vals = [float(v) for v in row]
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}:{lineno}: missing or non-numeric value"
+                ) from None
+            if not all(np.isfinite(vals)):
+                raise DataFormatError(f"{path}:{lineno}: non-finite value")
+            rows.append(vals)
+    except csv.Error as exc:  # raised by the reader for the row after lineno
+        raise DataFormatError(f"{path}:{lineno + 1}: {exc}") from None
     return np.asarray(rows, dtype=np.float64).reshape(-1, ncol)

@@ -8,6 +8,7 @@ import pytest
 from groupfx import (
     ClrProblem,
     Dataset,
+    OlsFit,
     RadiusTooSmallError,
     WeightVector,
     ZeroWeightError,
@@ -272,3 +273,41 @@ class TestKfoldScores:
         data = Dataset(y=base.y, X=np.column_stack([base.X, spikes]),
                        names=base.names + ("s1", "s2"), has_intercept=True)
         assert self.check(data, [3, 4, 5], 10) > 0
+
+    def test_singular_design_with_a_supplied_fit(self, table7_like_dataset):
+        # solve_clr(fit=...) skips fit_ols's rank check: a repeated column
+        # outside the group makes every training design rank-deficient
+        base, group = table7_like_dataset, [3, 4, 5]
+        data = Dataset(y=base.y, X=np.column_stack([base.X, base.X[:, 1]]),
+                       names=base.names + ("copy",), has_intercept=True)
+        fit = fit_ols(base)
+        fit = OlsFit(beta_hat=np.append(fit.beta_hat, 0.0), sigma2_hat=fit.sigma2_hat,
+                     Q=fit.Q, R=fit.R, xtx_inv=np.pad(fit.xtx_inv, (0, 1)), dof=fit.dof,
+                     rss=fit.rss)
+        sol = solve_clr(data, group, c_offset=3.0, selection="kfold", n_folds=5, seed=9,
+                        fit=fit)
+        oracle = [kfold_oracle(data, group, sol.signs, pt, 5, 9) for pt in sol.candidates]
+        npt.assert_allclose(sol.diagnostics["scores"], [s for s, _ in oracle], rtol=1e-10)
+        assert all(d == 5 for _, d in oracle)
+
+    @pytest.mark.parametrize("delta", [1e-8, 1e-6, 1e-4, 9e-4, 1e-3, 1.1e-3, 3e-3, 1e-2])
+    def test_leave_one_out_row_of_leverage_near_one(self, table7_like_dataset, delta):
+        # one added predictor s = e_i + t w, with w orthogonal to the other
+        # columns and to e_i, gives row i leverage exactly 1 - delta among the
+        # columns outside the group; its leave-one-out fold sits on either
+        # side of the point where the refit switches from downdate to lstsq
+        base, group, i = table7_like_dataset, [3, 4, 5], 6
+        rest = [j for j in range(base.q) if j not in group]
+        e = np.zeros(base.n)
+        e[i] = 1.0
+        basis, _ = np.linalg.qr(np.column_stack([base.X[:, rest], e]))
+        w = np.random.default_rng(5).standard_normal(base.n)
+        w -= basis @ (basis.T @ w)
+        q_rest, _ = np.linalg.qr(base.X[:, rest])
+        h0 = float(q_rest[i] @ q_rest[i])
+        t = np.sqrt(((1 - h0) ** 2 / (1 - delta - h0) - (1 - h0)) / (w @ w))
+        data = Dataset(y=base.y, X=np.column_stack([base.X, e + t * w]),
+                       names=base.names + ("s",), has_intercept=True)
+        q, _ = np.linalg.qr(data.X[:, rest + [data.q - 1]])
+        npt.assert_allclose(1.0 - q[i] @ q[i], delta, rtol=1e-6)
+        self.check(data, group, data.n + 1)

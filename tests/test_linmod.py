@@ -1,8 +1,12 @@
 """Tests for dataset handling, OLS fitting, correlation and standardization."""
 
+import csv
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupfx import (
     Dataset,
@@ -304,3 +308,117 @@ class TestLoadCsv:
         path = self._write(tmp_path, "y,a\n1,2\n2,0x1\n")
         with pytest.raises(DataFormatError, match=r"data\.csv:3: missing or non-numeric"):
             load_csv(path, "y")
+
+    @pytest.mark.parametrize("text", ["café,y\n1,2\n3,4\n", "y,a\n1,2\n3,café\n5,6\n"],
+                             ids=["header", "body"])
+    def test_non_utf8_file_rejected(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(DataFormatError, match=r"data\.csv: not valid UTF-8 text$"):
+            load_csv(path, "y")
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["plain", "quoted"])
+    def test_cell_over_the_field_limit_rejected(self, tmp_path, quote):
+        # a finite value, so only the cell's length is wrong
+        cell = quote + "0" * csv.field_size_limit() + "1" + quote
+        path = self._write(tmp_path, f"y,a\n1,2\n3,{cell}\n4,5\n")
+        with pytest.raises(DataFormatError, match=r"data\.csv:3: field larger than field limit"):
+            load_csv(path, "y")
+        path = self._write(tmp_path, f"y,{cell}\n1,2\n")
+        with pytest.raises(DataFormatError, match=r"data\.csv:1: field larger than field limit"):
+            load_csv(path, "y")
+
+    def test_line_over_the_field_limit_accepted(self, tmp_path):
+        # every cell is within the limit, only the line is longer
+        cell = "0" * (csv.field_size_limit() - 1) + "1"
+        path = self._write(tmp_path, f"y,a\n1,2\n3,{cell}\n4,5\n")
+        npt.assert_array_equal(load_csv(path, "y").X[:, 1], [2.0, 1.0, 5.0])
+
+
+def reference_load(path, response):
+    """load_csv as a plain csv.reader parse, one row at a time: (y, predictor
+    names, predictors) or the DataFormatError message of the first bad line."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
+    header = [h.strip() for h in rows[0]]
+    table = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            return f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+        try:
+            vals = [float(v) for v in row]
+        except ValueError:
+            return f"{path}:{lineno}: missing or non-numeric value"
+        if not np.all(np.isfinite(vals)):
+            return f"{path}:{lineno}: non-finite value"
+        table.append(vals)
+    if not table:
+        return f"{path}: no data rows"
+    table = np.array(table)
+    r_col = header.index(response)
+    names = tuple(h for h in header if h != response)
+    return table[:, r_col], names, np.delete(table, r_col, axis=1)
+
+
+PLAIN_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+    st.integers(-99, 99).map(str),
+    st.sampled_from(["1_0", " 2 ", "+.5", "-1e3"]),
+)
+QUOTED_CELLS = st.sampled_from(['"3"', '" 4 "', '"7\n"', '"-1e3"'])
+BAD_CELLS = st.sampled_from(["nan", "inf", "-inf", "", "x", "0x1", '"5,6"', '"8""9"', 'a"b'])
+
+
+@st.composite
+def csv_files(draw):
+    """Small CSV files with a y column and 0-3 predictors, mixing line endings,
+    quotes, padding and blank lines. Some hold one kind of bad cell and
+    short, long and trailing-comma rows."""
+    ncol = draw(st.integers(1, 4))
+    names = draw(st.permutations(["y", "a", "b", "c"][:ncol]))
+    header = [draw(st.sampled_from(["{}", '"{}"', " {} ", '" {}"'])).format(h) for h in names]
+    cell_st = draw(st.sampled_from([PLAIN_CELLS, st.one_of(PLAIN_CELLS, QUOTED_CELLS)]))
+    bad = draw(st.one_of(st.none(), BAD_CELLS))
+    kinds = ["row"] if bad is None else ["row"] * 4 + ["short", "long", "comma"]
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds + ["blank"]))
+        width = {"row": ncol, "blank": 0, "short": ncol - 1, "long": ncol + 1,
+                 "comma": ncol - 1}[kind]
+        cells = draw(st.lists(cell_st, min_size=width, max_size=width))
+        if bad is not None and cells and draw(st.booleans()):
+            cells[draw(st.integers(0, width - 1))] = bad
+        if kind == "blank" or (kind == "short" and ncol == 1):
+            lines.append("")
+        else:
+            lines.append(",".join(cells) + ("," if kind == "comma" else ""))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "".join(line + end for line, end in zip(lines, ends))
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_files())
+def test_load_csv_matches_row_by_row_parse(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    want = reference_load(path, "y")
+    if isinstance(want, str):
+        with pytest.raises(DataFormatError) as exc:
+            load_csv(path, "y")
+        assert str(exc.value) == want
+        return
+    y, names, X = want
+    if any(np.ptp(X[:, j]) == 0.0 for j in range(X.shape[1])):
+        with pytest.raises(ZeroVarianceError):
+            load_csv(path, "y")
+        return
+    data = load_csv(path, "y")
+    assert data.names == ("intercept", *names)
+    assert data.y.tobytes() == y.tobytes()
+    assert data.X[:, 1:].tobytes() == np.ascontiguousarray(X).tobytes()
