@@ -62,14 +62,14 @@ class Dataset:
             raise DataFormatError(f"duplicate column name {dup!r}")
         if not np.all(np.isfinite(y)) or not np.all(np.isfinite(X)):
             raise DataFormatError("response and predictors must be finite")
-        if self.has_intercept and not np.allclose(X[:, 0], 1.0):
+        # np.allclose(X[:, 0], 1.0) written out: |x - 1| <= 1e-8 + 1e-5 * 1
+        if self.has_intercept and not np.all(np.abs(X[:, 0] - 1.0) <= 1e-8 + 1e-5):
             raise DataFormatError("declared intercept column is not all ones")
         start = 1 if self.has_intercept else 0
-        for j in range(start, X.shape[1]):
-            if np.ptp(X[:, j]) == 0.0:
-                raise ZeroVarianceError(
-                    f"column {self.names[j]!r} is constant but not the intercept"
-                )
+        constant = np.flatnonzero(np.ptp(X[:, start:], axis=0) == 0.0)
+        if constant.size:
+            raise ZeroVarianceError(f"column {self.names[start + constant[0]]!r} "
+                                    "is constant but not the intercept")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "names", tuple(self.names))
@@ -354,9 +354,10 @@ def _parse_rows(path, reader, ncol: int) -> np.ndarray:
     a missing, non-numeric or non-finite value."""
     next(reader)
     rows = []
-    lineno = 1
+    end = reader.line_num  # physical lines read so far
     try:
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno, end = end + 1, reader.line_num  # the row's first line
             if not row:
                 continue
             if len(row) != ncol:
@@ -370,6 +371,6 @@ def _parse_rows(path, reader, ncol: int) -> np.ndarray:
             if not all(np.isfinite(vals)):
                 raise DataFormatError(f"{path}:{lineno}: non-finite value")
             rows.append(vals)
-    except csv.Error as exc:  # raised by the reader for the row after lineno
-        raise DataFormatError(f"{path}:{lineno + 1}: {exc}") from None
+    except csv.Error as exc:  # raised by the reader for the row after line end
+        raise DataFormatError(f"{path}:{end + 1}: {exc}") from None
     return np.asarray(rows, dtype=np.float64).reshape(-1, ncol)

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .effects import WeightVector, variability_weights
-from .linmod import Dataset, correlation, fit_ols
+from .linmod import INTERCEPT_NAME, Dataset, correlation, fit_ols
 
 DEFAULT_BETA = (5.0, 0.0, 0.0, 1.0, 2.0, 3.0, 1.0, 1.0, 1.0, 2.0, 3.0)
 
@@ -35,6 +34,25 @@ GROUPS = {
 }
 
 N_VARS = 10
+
+_NAMES = (INTERCEPT_NAME, *(f"x{j}" for j in range(1, N_VARS + 1)))
+
+# Recorded effects in report order: each group's average and variability-
+# weighted effect, then every coefficient.
+_EFFECT_LABELS = tuple(
+    label for g in GROUPS for label in (f"tau{g[1]}", f"tau{g[1]}_w")
+) + tuple(f"beta{j}" for j in range(N_VARS + 1))
+
+
+def _group_index(variables):
+    """A group's X columns (variable j is X column j), then its columns and
+    its off-diagonal entries in the correlation of variables 1..N_VARS."""
+    v = [j - 1 for j in variables]
+    rows, cols = zip(*((a, b) for a in v for b in v if a != b))
+    return list(variables), v, (list(rows), list(cols))
+
+
+_GROUP_INDEX = {g: _group_index(v) for g, v in GROUPS.items()}
 
 # Noise is drawn and reduced in blocks of at most this many normals, which
 # bounds memory for any replicate count; chunking does not change the draw.
@@ -131,7 +149,8 @@ class RunningMoments:
     def update(self, block: np.ndarray) -> None:
         k = block.shape[0]
         mean = block.mean(axis=0)
-        m2 = ((block - mean) ** 2).sum(axis=0)
+        dev = block - mean
+        m2 = np.square(dev, out=dev).sum(axis=0)
         total = self.count + k
         delta = mean - self.mean
         self.mean = self.mean + delta * (k / total)
@@ -164,42 +183,21 @@ def generate_design(config: SimCaseConfig) -> Dataset:
     """
     z = _child_rng(config.seed, 0).standard_normal((config.n, N_VARS))
     w1, w2 = config.w1, config.w2
-    x = np.empty_like(z)
+    X = np.empty((config.n, N_VARS + 1))
+    X[:, 0] = 1.0
+    x = X[:, 1:]  # column j - 1 of x is variable j
     x[:, 0] = z[:, 0]
     x[:, 1] = w1 * z[:, 0] + (1.0 - w1) * z[:, 1]
     x[:, 2] = z[:, 2]
     x[:, 3] = w1 * z[:, 2] + (1.0 - w1) * z[:, 3]
     x[:, 4] = w2 * z[:, 2] + (1.0 - w2) * z[:, 4]
     x[:, 5:] = z[:, 5:]
-    for tr in config.transforms:
-        col = tr.index - 1
-        x[:, col] *= tr.scale
-        if tr.flip:
-            x[:, col] *= -1.0
+    for tr in config.transforms:  # a sign flip is exact: (x s) (-1) == x (-s)
+        x[:, tr.index - 1] *= -tr.scale if tr.flip else tr.scale
 
     beta = np.asarray(config.beta)
     y_mean = beta[0] + x @ beta[1:]
-    return Dataset.from_columns(
-        y_mean, list(x.T), [f"x{j}" for j in range(1, N_VARS + 1)]
-    )
-
-
-def _effect_plan(corrs: dict, beta: np.ndarray):
-    """Weight vectors, target columns and true values for every recorded
-    effect. Weighted-group weights come from the realized column norms,
-    through each group's correlation matrix in ``corrs``."""
-    plan = []
-    for gname, variables in GROUPS.items():
-        cols = list(variables)  # 1-based variable == X column (intercept at 0)
-        k = gname[1]
-        w_avg = WeightVector.average(len(cols)).weights
-        plan.append((f"tau{k}", cols, w_avg, float(w_avg @ beta[cols])))
-        w_var = variability_weights(corrs[gname]).weights
-        plan.append((f"tau{k}_w", cols, w_var, float(w_var @ beta[cols])))
-    for j in range(N_VARS + 1):
-        name = "beta0" if j == 0 else f"beta{j}"
-        plan.append((name, [j], np.array([1.0]), float(beta[j])))
-    return plan
+    return Dataset(y_mean, X, _NAMES, has_intercept=True)
 
 
 def run_case(config: SimCaseConfig) -> SimReport:
@@ -209,40 +207,40 @@ def run_case(config: SimCaseConfig) -> SimReport:
     design = generate_design(config)
     fit = fit_ols(design)  # raises SingularDesignError before any replicate work
 
-    X = design.X
-    q = X.shape[1]
-    # beta_hat = B y for the fixed design; reused by every replicate.
-    B = np.linalg.solve(fit.R, fit.Q.T)
-
     beta = np.asarray(config.beta)
-    corrs = {g: correlation(design, list(v)) for g, v in GROUPS.items()}
-    plan = _effect_plan(corrs, beta)
-    weight_rows = np.zeros((len(plan), q))
-    for row, (_, cols, w, _) in enumerate(plan):
-        weight_rows[row, cols] = w
+    corr = correlation(design, range(1, N_VARS + 1))
+    weight_rows = np.zeros((len(_EFFECT_LABELS), N_VARS + 1))
+    weight_rows[2 * len(GROUPS):] = np.eye(N_VARS + 1)
+    truths = []
+    corr_ranges = {}
+    for row, (gname, (cols, v, off_diagonal)) in enumerate(_GROUP_INDEX.items()):
+        s = corr.column_sds[v]
+        w_avg = np.full(len(cols), 1.0 / len(cols))
+        w_var = s / s.sum()  # variability_weights of the group
+        weight_rows[2 * row, cols] = w_avg
+        weight_rows[2 * row + 1, cols] = w_var
+        truths += [float(w_avg @ beta[cols]), float(w_var @ beta[cols])]
+        off = corr.values[off_diagonal]
+        corr_ranges[gname] = (float(off.min()), float(off.max()))
+    truths += beta.tolist()
 
-    y_mean = X @ beta  # intercept column carries beta[0]
+    y_mean = design.X @ beta  # intercept column carries beta[0]
     sigma = math.sqrt(config.sigma2)
-    effect_map = weight_rows @ B  # row e maps a response vector to effect e
+    # row e maps a response vector y to effect e, through beta_hat = R^{-1} Q' y
+    effect_map = weight_rows @ np.linalg.solve(fit.R, fit.Q.T)
     noise = _child_rng(config.seed, 1)
-    moments = RunningMoments(len(plan))
+    moments = RunningMoments(len(_EFFECT_LABELS))
     rows = max(1, _CHUNK_ELEMENTS // config.n)
     for lo in range(0, config.replicates, rows):
-        k = min(rows, config.replicates - lo)
-        # one replicate response per row: y_mean plus that replicate's noise
-        moments.update(noise.normal(y_mean, sigma, (k, config.n)) @ effect_map.T)
+        # one replicate response per row: y_mean plus that replicate's noise,
+        # the same values as noise.normal(y_mean, sigma, ...)
+        Y = noise.standard_normal((min(rows, config.replicates - lo), config.n))
+        Y *= sigma
+        Y += y_mean
+        moments.update(Y @ effect_map.T)
 
-    effects = tuple(
-        EffectSummary(label=label, mean=float(mean), variance=float(var),
-                      true_value=truth)
-        for (label, _, _, truth), mean, var in zip(plan, moments.mean, moments.variance)
-    )
-
-    corr_ranges = {}
-    for gname, corr in corrs.items():
-        R_g = corr.values
-        off = R_g[~np.eye(R_g.shape[0], dtype=bool)]
-        corr_ranges[gname] = (float(off.min()), float(off.max()))
+    effects = tuple(map(EffectSummary, _EFFECT_LABELS, moments.mean.tolist(),
+                        moments.variance.tolist(), truths))
 
     return SimReport(
         label=config.label or f"w1={config.w1},w2={config.w2}",

@@ -370,6 +370,14 @@ class TestDeterminism:
         assert out1 == out2
         assert "check,passed,detail" in out1
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_paper_suite_matches_golden_bytes(self, fmt, capsysbinary):
+        # reruns are byte-identical to stdout captured when the file was
+        # written; a change to any printed digit must replace the file
+        golden = Path(__file__).parent / "data" / f"simulate_paper_suite_seed0.{fmt}"
+        assert main(["simulate", "--paper-suite", "--seed", "0", "--format", fmt]) == 0
+        assert capsysbinary.readouterr().out == golden.read_bytes()
+
 
 def test_cli_import_leaves_scipy_special_unloaded():
     # uniform and simulate never need the t tail, so importing the CLI must

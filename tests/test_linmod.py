@@ -56,6 +56,36 @@ class TestDatasetValidation:
         with pytest.raises(DataFormatError, match="duplicate column name 'b'"):
             Dataset(y=np.ones(5), X=X, names=("a", "b", "b"))
 
+    def test_first_constant_column_is_named(self):
+        X = np.random.default_rng(0).standard_normal((5, 4))
+        X[:, 1] = 3.0
+        X[:, 3] = -1.0
+        with pytest.raises(ZeroVarianceError, match="column 'b' is constant"):
+            Dataset(y=np.ones(5), X=X, names=("a", "b", "c", "d"))
+        X[:, 0] = 1.0
+        with pytest.raises(ZeroVarianceError, match="column 'b' is constant"):
+            Dataset(y=np.ones(5), X=X, names=("intercept", "b", "c", "d"),
+                    has_intercept=True)
+
+    def test_constant_first_column_rejected_without_intercept(self):
+        X = np.column_stack([np.ones(5), np.random.default_rng(0).standard_normal(5)])
+        with pytest.raises(ZeroVarianceError, match="column 'a' is constant"):
+            Dataset(y=np.ones(5), X=X, names=("a", "b"))
+
+    @pytest.mark.parametrize("offset, ok", [(5e-6, True), (-5e-6, True),
+                                            (2e-5, False), (-2e-5, False)])
+    def test_intercept_tolerance(self, offset, ok):
+        # the np.allclose(X[:, 0], 1.0) tolerance: |x - 1| <= 1e-8 + 1e-5
+        X = np.column_stack([np.ones(5), np.random.default_rng(0).standard_normal(5)])
+        X[2, 0] += offset
+        if ok:
+            Dataset(y=np.ones(5), X=X, names=("intercept", "x"), has_intercept=True)
+            assert np.allclose(X[:, 0], 1.0)
+        else:
+            with pytest.raises(DataFormatError, match="not all ones"):
+                Dataset(y=np.ones(5), X=X, names=("intercept", "x"), has_intercept=True)
+            assert not np.allclose(X[:, 0], 1.0)
+
     def test_intercept_column_must_be_ones(self):
         with pytest.raises(DataFormatError):
             Dataset(y=np.ones(5),
@@ -328,6 +358,19 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match=r"data\.csv:1: field larger than field limit"):
             load_csv(path, "y")
 
+    def test_error_names_the_line_a_row_starts_on(self, tmp_path):
+        # the quoted cell of line 2 ends on line 3, so the next row is line 4
+        path = self._write(tmp_path, 'y,a\n1,"2\n"\n3,x\n')
+        with pytest.raises(DataFormatError, match=r"data\.csv:4: missing or non-numeric"):
+            load_csv(path, "y")
+        cell = "0" * csv.field_size_limit() + "1"
+        path = self._write(tmp_path, f'y,a\n1,"2\n"\n3,{cell}\n')
+        with pytest.raises(DataFormatError, match=r"data\.csv:4: field larger than field limit"):
+            load_csv(path, "y")
+        path = self._write(tmp_path, f'y,a\n"1\n\n",2\n\n"4\n",{cell}\n')
+        with pytest.raises(DataFormatError, match=r"data\.csv:6: field larger than field limit"):
+            load_csv(path, "y")
+
     def test_line_over_the_field_limit_accepted(self, tmp_path):
         # every cell is within the limit, only the line is longer
         cell = "0" * (csv.field_size_limit() - 1) + "1"
@@ -339,10 +382,15 @@ def reference_load(path, response):
     """load_csv as a plain csv.reader parse, one row at a time: (y, predictor
     names, predictors) or the DataFormatError message of the first bad line."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = list(csv.reader(fh))
-    header = [h.strip() for h in rows[0]]
+        reader = csv.reader(fh)
+        # each row with the physical line it starts on
+        rows, end = [], 0
+        for row in reader:
+            rows.append((end + 1, row))
+            end = reader.line_num
+    header = [h.strip() for h in rows[0][1]]
     table = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row:
             continue
         if len(row) != len(header):

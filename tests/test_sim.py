@@ -8,9 +8,11 @@ import numpy.testing as npt
 import pytest
 
 from groupfx import (
+    Dataset,
     SimCaseConfig,
     SingularDesignError,
     Transform,
+    WeightVector,
     correlation,
     fit_ols,
     generate_design,
@@ -215,6 +217,105 @@ class TestRunCase:
             for w1 in (0.3, 0.9, 0.999)
         ]
         assert variances[0] >= variances[1] >= variances[2]
+
+
+def run_case_oracle(config):
+    """Reference for run_case, written the long way: the design through
+    Dataset.from_columns, one correlation call and one WeightVector per
+    group, noise from Generator.normal and block moments from
+    (block - mean) ** 2. Returns (label, mean, variance, true value) per
+    effect and the correlation ranges."""
+    z = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        config.seed, spawn_key=(0,)))).standard_normal((config.n, 10))
+    w1, w2 = config.w1, config.w2
+    x = np.empty_like(z)
+    x[:, 0] = z[:, 0]
+    x[:, 1] = w1 * z[:, 0] + (1.0 - w1) * z[:, 1]
+    x[:, 2] = z[:, 2]
+    x[:, 3] = w1 * z[:, 2] + (1.0 - w1) * z[:, 3]
+    x[:, 4] = w2 * z[:, 2] + (1.0 - w2) * z[:, 4]
+    x[:, 5:] = z[:, 5:]
+    for tr in config.transforms:
+        x[:, tr.index - 1] *= tr.scale
+        if tr.flip:
+            x[:, tr.index - 1] *= -1.0
+    beta = np.asarray(config.beta)
+    design = Dataset.from_columns(beta[0] + x @ beta[1:], list(x.T),
+                                  [f"x{j}" for j in range(1, 11)])
+    fit = fit_ols(design)
+    B = np.linalg.solve(fit.R, fit.Q.T)
+
+    corrs = {g: correlation(design, list(v)) for g, v in GROUPS.items()}
+    plan = []
+    for g, variables in GROUPS.items():
+        cols = list(variables)
+        w_avg = WeightVector.average(len(cols)).weights
+        plan.append((f"tau{g[1]}", cols, w_avg, float(w_avg @ beta[cols])))
+        w_var = variability_weights(corrs[g]).weights
+        plan.append((f"tau{g[1]}_w", cols, w_var, float(w_var @ beta[cols])))
+    for j in range(11):
+        plan.append((f"beta{j}", [j], np.array([1.0]), float(beta[j])))
+    weight_rows = np.zeros((len(plan), design.q))
+    for row, (_, cols, w, _) in enumerate(plan):
+        weight_rows[row, cols] = w
+
+    y_mean = design.X @ beta
+    effect_map = weight_rows @ B
+    noise = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        config.seed, spawn_key=(1,))))
+    count, mean, m2 = 0, np.zeros(len(plan)), np.zeros(len(plan))
+    rows = max(1, sim._CHUNK_ELEMENTS // config.n)
+    for lo in range(0, config.replicates, rows):
+        k = min(rows, config.replicates - lo)
+        block = noise.normal(y_mean, np.sqrt(config.sigma2), (k, config.n)) @ effect_map.T
+        block_mean = block.mean(axis=0)
+        block_m2 = ((block - block_mean) ** 2).sum(axis=0)
+        total = count + k
+        delta = block_mean - mean
+        mean = mean + delta * (k / total)
+        m2 = m2 + block_m2 + delta * delta * (count * k / total)
+        count = total
+    variance = m2 / (count - 1) if count > 1 else np.zeros_like(m2)
+
+    effects = [(label, float(mu), float(var), truth)
+               for (label, _, _, truth), mu, var in zip(plan, mean, variance)]
+    corr_ranges = {}
+    for g, corr in corrs.items():
+        off = corr.values[~np.eye(corr.p, dtype=bool)]
+        corr_ranges[g] = (float(off.min()), float(off.max()))
+    return effects, corr_ranges
+
+
+class TestRunCaseOracle:
+    """run_case gives bit for bit the numbers of run_case_oracle."""
+
+    @staticmethod
+    def assert_same(config):
+        effects, corr_ranges = run_case_oracle(config)
+        report = run_case(config)
+        assert [(e.label, e.mean, e.variance, e.true_value)
+                for e in report.effects] == effects
+        assert report.corr_ranges == corr_ranges
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    @pytest.mark.parametrize("case", [1, 2, 3, 4, 5])
+    def test_paper_cases(self, case, seed):
+        self.assert_same(paper_case_config(case, seed=seed))
+
+    def test_custom_config(self):
+        self.assert_same(SimCaseConfig(
+            w1=0.2, w2=0.7, n=40, sigma2=2.5, replicates=500, seed=3,
+            beta=(1.0, -2.0, 0.5, 3.0, -1.0, 0.0, 4.0, 2.0, -3.0, 1.5, 0.25),
+            transforms=(Transform(2, scale=3.0, flip=True), Transform(4, scale=-1.5),
+                        Transform(7, flip=True))))
+
+    def test_two_noise_blocks(self, monkeypatch):
+        cfg = paper_case_config(4, seed=3, replicates=1000)
+        monkeypatch.setattr(sim, "_CHUNK_ELEMENTS", 600 * cfg.n)
+        self.assert_same(cfg)
+
+    def test_one_replicate(self):
+        self.assert_same(paper_case_config(2, seed=5, replicates=1))
 
 
 @pytest.fixture(scope="module")
