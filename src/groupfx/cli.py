@@ -486,13 +486,29 @@ def run_clr(config: RunConfig) -> ClrResult:
     return ClrResult(solution=solution, names=data.names)
 
 
+def _all_finite(obj) -> bool:
+    if isinstance(obj, float):
+        return math.isfinite(obj)
+    if isinstance(obj, dict):
+        return all(map(_all_finite, obj.values()))
+    if isinstance(obj, list):
+        return all(map(_all_finite, obj))
+    return True
+
+
 def render_report(result, fmt: str) -> bytes:
     """Serialize a subcommand result to CSV or JSON bytes; floats carry 8
-    significant digits so repeated runs are byte-identical."""
+    significant digits so repeated runs are byte-identical. A result holding
+    an inf or NaN is an error in either format: strict JSON has no such
+    number, and a CSV reader would take it for data."""
+    data = _round8(_render_json(result))
+    if not _all_finite(data):
+        raise GroupFxError("the result holds a non-finite number (inf or nan); "
+                           "an input is too large or too degenerate for float64")
     if fmt == "csv":
         text = "\n".join(_render_csv(result)) + "\n"
     else:
-        text = json.dumps(_round8(_render_json(result)), indent=2) + "\n"
+        text = json.dumps(data, indent=2) + "\n"
     return text.encode("utf-8")
 
 

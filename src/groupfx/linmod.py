@@ -53,6 +53,8 @@ class Dataset:
             raise DimensionMismatchError(
                 f"y has {y.shape[0]} rows but X has {X.shape[0]}"
             )
+        if X.shape[0] == 0:
+            raise DataFormatError("dataset has no rows")
         if len(self.names) != X.shape[1]:
             raise DimensionMismatchError(
                 f"{len(self.names)} names for {X.shape[1]} columns"

@@ -11,10 +11,16 @@ split into two streams: child 0 of ``SeedSequence(seed)`` draws the design
 and child 1 draws all replicate noise, row by row (replicate i takes the
 i-th block of n normals). Replicate i's noise is therefore the same for
 every replicate count R > i, and the same across cases that share a seed.
+
+The cases of a suite share a seed, so each stream is drawn once: a memo of
+the last two leading blocks (the design's normals and the first noise
+block, read-only) serves every case that asks for the same seed, stream and
+shape, and later noise blocks continue from the saved generator state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -172,6 +178,31 @@ def _child_rng(seed: int, child: int) -> np.random.Generator:
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(child,))))
 
 
+@functools.lru_cache(maxsize=2)
+def _leading_normals(seed: int, child: int, shape: tuple[int, int]):
+    """The first ``shape`` block of standard normals of child stream
+    ``child`` (read-only, as it is shared), and the bit-generator state after
+    it. Two entries hold one case's design and first noise block."""
+    rng = _child_rng(seed, child)
+    z = rng.standard_normal(shape)
+    z.flags.writeable = False
+    return z, rng.bit_generator.state
+
+
+def _noise_blocks(seed: int, n: int, replicates: int):
+    """Replicate noise in blocks of at most ``_CHUNK_ELEMENTS`` normals, one
+    replicate per row; blocks after the shared first one continue its
+    stream from the saved state."""
+    rows = max(1, _CHUNK_ELEMENTS // n)
+    first, state = _leading_normals(seed, 1, (min(rows, replicates), n))
+    yield first
+    if replicates > rows:
+        noise = _child_rng(seed, 1)
+        noise.bit_generator.state = state
+        for lo in range(rows, replicates, rows):
+            yield noise.standard_normal((min(rows, replicates - lo), n))
+
+
 def generate_design(config: SimCaseConfig) -> Dataset:
     """Draw one design matrix from the mixing recipe.
 
@@ -181,7 +212,7 @@ def generate_design(config: SimCaseConfig) -> Dataset:
     dataset is directly fittable; replicate noise is added by
     :func:`run_case`.
     """
-    z = _child_rng(config.seed, 0).standard_normal((config.n, N_VARS))
+    z, _ = _leading_normals(config.seed, 0, (config.n, N_VARS))
     w1, w2 = config.w1, config.w2
     X = np.empty((config.n, N_VARS + 1))
     X[:, 0] = 1.0
@@ -228,14 +259,12 @@ def run_case(config: SimCaseConfig) -> SimReport:
     sigma = math.sqrt(config.sigma2)
     # row e maps a response vector y to effect e, through beta_hat = R^{-1} Q' y
     effect_map = weight_rows @ np.linalg.solve(fit.R, fit.Q.T)
-    noise = _child_rng(config.seed, 1)
     moments = RunningMoments(len(_EFFECT_LABELS))
-    rows = max(1, _CHUNK_ELEMENTS // config.n)
-    for lo in range(0, config.replicates, rows):
+    for z in _noise_blocks(config.seed, config.n, config.replicates):
         # one replicate response per row: y_mean plus that replicate's noise,
-        # the same values as noise.normal(y_mean, sigma, ...)
-        Y = noise.standard_normal((min(rows, config.replicates - lo), config.n))
-        Y *= sigma
+        # the same values as Generator.normal(y_mean, sigma, ...) on child 1;
+        # z may be the shared read-only block, so it is scaled into a copy
+        Y = z * sigma
         Y += y_mean
         moments.update(Y @ effect_map.T)
 

@@ -152,6 +152,17 @@ class TestMainExitCodes:
         assert code == 1
         assert json.loads(err.strip())["error"] == "DataFormatError"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_report_is_structured_runtime_error(self, fmt, capsys):
+        # var_indiv overflows to inf, which strict JSON cannot hold
+        code, out, err = run_main(["uniform", "--sigma2", "1e308", "--r-list", "0.99",
+                                   "--format", fmt], capsys)
+        assert code == 1
+        assert out == ""
+        obj = json.loads(err.strip())
+        assert obj["schema_version"] == 1
+        assert "non-finite" in obj["message"]
+
     @pytest.mark.parametrize("args", [
         ["simulate", "--case", "1", "--seed", "-1"],
         ["simulate", "--case", "1", "--n", "0"],
@@ -376,6 +387,13 @@ class TestDeterminism:
         # written; a change to any printed digit must replace the file
         golden = Path(__file__).parent / "data" / f"simulate_paper_suite_seed0.{fmt}"
         assert main(["simulate", "--paper-suite", "--seed", "0", "--format", fmt]) == 0
+        assert capsysbinary.readouterr().out == golden.read_bytes()
+
+    def test_multi_block_paper_suite_matches_golden_bytes(self, capsysbinary):
+        # 20000 replicates at n = 15 are 300,000 normals per case, more than
+        # one noise block, so later blocks continue the shared first block
+        golden = Path(__file__).parent / "data" / "simulate_paper_suite_seed3_r20000.csv"
+        assert main(["simulate", "--paper-suite", "--seed", "3", "--replicates", "20000"]) == 0
         assert capsysbinary.readouterr().out == golden.read_bytes()
 
 

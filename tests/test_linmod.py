@@ -36,6 +36,10 @@ class TestDatasetValidation:
             Dataset(y=np.ones(5), X=np.random.default_rng(0).standard_normal((5, 2)),
                     names=("a",))
 
+    def test_zero_rows_rejected(self):
+        with pytest.raises(DataFormatError, match="no rows"):
+            Dataset(y=np.ones(0), X=np.ones((0, 2)), names=("a", "b"))
+
     def test_non_finite_rejected(self):
         X = np.random.default_rng(0).standard_normal((5, 2))
         X[0, 0] = np.nan

@@ -286,16 +286,17 @@ def run_case_oracle(config):
     return effects, corr_ranges
 
 
+def report_numbers(report):
+    return ([(e.label, e.mean, e.variance, e.true_value) for e in report.effects],
+            report.corr_ranges)
+
+
 class TestRunCaseOracle:
     """run_case gives bit for bit the numbers of run_case_oracle."""
 
     @staticmethod
     def assert_same(config):
-        effects, corr_ranges = run_case_oracle(config)
-        report = run_case(config)
-        assert [(e.label, e.mean, e.variance, e.true_value)
-                for e in report.effects] == effects
-        assert report.corr_ranges == corr_ranges
+        assert report_numbers(run_case(config)) == run_case_oracle(config)
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
     @pytest.mark.parametrize("case", [1, 2, 3, 4, 5])
@@ -316,6 +317,46 @@ class TestRunCaseOracle:
 
     def test_one_replicate(self):
         self.assert_same(paper_case_config(2, seed=5, replicates=1))
+
+
+class TestSharedDraws:
+    """The suite's cases share their design and noise draws through a memo;
+    each report is still exactly that of a standalone run_case."""
+
+    @staticmethod
+    def standalone(config):
+        sim._leading_normals.cache_clear()
+        return report_numbers(run_case(config))
+
+    # one noise block, then two: the second continues from the saved state
+    @pytest.mark.parametrize("chunk_elements", [sim._CHUNK_ELEMENTS, 200 * 15])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_suite_equals_standalone_cases(self, seed, chunk_elements, monkeypatch):
+        monkeypatch.setattr(sim, "_CHUNK_ELEMENTS", chunk_elements)
+        suite = run_paper_suite(seed=seed, replicates=300)
+        for case, report in enumerate(suite.reports, start=1):
+            config = paper_case_config(case, seed=seed, replicates=300)
+            assert report_numbers(report) == self.standalone(config)
+
+    def test_interleaved_calls_change_nothing(self):
+        configs = [paper_case_config(case, seed=0, replicates=300) for case in (1, 3, 5)]
+        expected = [self.standalone(c) for c in configs]
+        got = []
+        for config in configs:
+            run_case(paper_case_config(2, seed=11, replicates=300))
+            run_case(paper_case_config(4, seed=0, replicates=300, n=40))
+            run_case(paper_case_config(2, seed=0, replicates=100))  # same design only
+            got.append(report_numbers(run_case(config)))
+        assert got == expected
+
+    def test_memo_arrays_are_read_only(self):
+        sim._leading_normals.cache_clear()
+        run_case(paper_case_config(1, seed=0, replicates=50))
+        for child, shape in ((0, (15, sim.N_VARS)), (1, (50, 15))):
+            z, _ = sim._leading_normals(0, child, shape)
+            with pytest.raises(ValueError):
+                z[0, 0] = 0.0
+        assert sim._leading_normals.cache_info().hits == 2
 
 
 @pytest.fixture(scope="module")
