@@ -17,6 +17,7 @@ from .exceptions import (
     DimensionMismatchError,
     GroupFxError,
     GroupTooLargeError,
+    InvalidParameterError,
     NegativeDeltaError,
     RadiusTooSmallError,
     SingularDesignError,
@@ -94,6 +95,7 @@ __all__ = [
     "EffectEstimate",
     "GroupFxError",
     "GroupTooLargeError",
+    "InvalidParameterError",
     "NegativeDeltaError",
     "OlsFit",
     "PaperSuiteResult",

@@ -22,7 +22,7 @@ from .effects import (
     estimate_effect,
     variability_weights,
 )
-from .exceptions import RadiusTooSmallError, ZeroWeightError
+from .exceptions import InvalidParameterError, RadiusTooSmallError, ZeroWeightError
 from .linmod import RCOND_MIN, Dataset, OlsFit, correlation, fit_ols
 
 _MEMBERSHIP_TOL = 1e-8
@@ -43,7 +43,7 @@ class ClrProblem:
         if np.linalg.norm(self.w.weights) == 0.0:
             raise ZeroWeightError("weight vector must be nonzero")
         if not np.isfinite(self.tau_hat):
-            raise ValueError("tau_hat must be finite")
+            raise InvalidParameterError("tau_hat must be finite")
 
     @property
     def p(self) -> int:
@@ -98,7 +98,7 @@ def sphere_candidates(
     w = problem.w.weights
     d = np.asarray(direction, dtype=np.float64).reshape(-1)
     if d.shape[0] != w.shape[0]:
-        raise ValueError("direction must have the group's dimension")
+        raise InvalidParameterError("direction must have the group's dimension")
     d = d - (d @ w) / (w @ w) * w
     norm = np.linalg.norm(d)
     if norm <= 1e-12:
@@ -258,9 +258,9 @@ def solve_clr(
     Coefficients outside the group keep their OLS values.
     """
     if selection not in ("min-rss", "kfold"):
-        raise ValueError(f"unknown selection strategy {selection!r}")
+        raise InvalidParameterError(f"unknown selection strategy {selection!r}")
     if selection == "kfold" and n_folds < 2:
-        raise ValueError(f"kfold selection needs n_folds >= 2, got {n_folds}")
+        raise InvalidParameterError(f"kfold selection needs n_folds >= 2, got {n_folds}")
     if c_offset < 0.0:
         raise RadiusTooSmallError("c_offset must be nonnegative")
     slot = _shared_solver.get() or [None]

@@ -22,6 +22,7 @@ from .exceptions import (
     ConvergenceError,
     DimensionMismatchError,
     GroupTooLargeError,
+    InvalidParameterError,
     ZeroVarianceError,
 )
 from .linmod import CorrelationMatrix, OlsFit
@@ -58,7 +59,7 @@ class WeightVector:
     def __post_init__(self):
         w = _weight_array(self.weights)
         if w.min() < -_WEIGHT_TOL or abs(w.sum() - 1.0) > _WEIGHT_TOL:
-            raise ValueError("simplex weights must be nonnegative and sum to 1")
+            raise InvalidParameterError("simplex weights must be nonnegative and sum to 1")
         object.__setattr__(self, "weights", w)
 
     @property
@@ -90,9 +91,9 @@ class SignArrangement:
     def __post_init__(self):
         s = np.asarray(self.signs, dtype=np.float64).reshape(-1)
         if not (np.abs(s) == 1.0).all():
-            raise ValueError("signs must be +1 or -1")
+            raise InvalidParameterError("signs must be +1 or -1")
         if s[0] != 1.0:
-            raise ValueError("first sign must be +1 by convention")
+            raise InvalidParameterError("first sign must be +1 by convention")
         object.__setattr__(self, "signs", s)
 
     @property
@@ -187,9 +188,9 @@ def t_sf_two_sided(t: float, dof: int) -> float:
     to 1 (9e-11 at dof 5e6).
     """
     if not 0 < dof < math.inf:
-        raise ValueError("degrees of freedom must be positive and finite")
+        raise InvalidParameterError("degrees of freedom must be positive and finite")
     if math.isnan(t):
-        raise ValueError("t statistic is NaN")
+        raise InvalidParameterError("t statistic is NaN")
     t2 = t * t
     if t2 == 0.0:
         return 1.0

@@ -53,5 +53,9 @@ class DataFormatError(GroupFxError):
     """Input data file is malformed (missing values, bad header, ...)."""
 
 
+class InvalidParameterError(GroupFxError, ValueError):
+    """A parameter lies outside its valid range (also a ``ValueError``)."""
+
+
 class UsageError(GroupFxError):
     """Invalid command-line invocation (exit status 2)."""

@@ -10,7 +10,6 @@ immutable in spirit and safe to share across threads.
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +17,7 @@ import numpy as np
 from .exceptions import (
     DataFormatError,
     DimensionMismatchError,
+    InvalidParameterError,
     SingularDesignError,
     ZeroVarianceError,
 )
@@ -93,6 +93,11 @@ class Dataset:
         if len(cols) != len(names):
             raise DimensionMismatchError("one name per column required")
         n = len(np.asarray(y).reshape(-1))
+        for name, c in zip(names, cols):
+            if c.shape[0] != n:
+                raise DimensionMismatchError(
+                    f"column {name!r} has {c.shape[0]} rows but y has {n}"
+                )
         return cls(
             y=np.asarray(y, dtype=np.float64),
             X=np.column_stack([np.ones(n)] + cols),
@@ -139,11 +144,11 @@ class CorrelationMatrix:
         # np.allclose(a, b, atol=1e-10) written out, i.e. |a - b| <= 1e-10 +
         # 1e-5 |b| with NaN rejected: allclose costs more than all the rest.
         if not np.all(np.abs(np.diagonal(R) - 1.0) <= 1e-10 + 1e-5):
-            raise ValueError("correlation matrix diagonal must be 1")
+            raise InvalidParameterError("correlation matrix diagonal must be 1")
         if not np.all(np.abs(R - R.T) <= 1e-10 + 1e-5 * np.abs(R.T)):
-            raise ValueError("correlation matrix must be symmetric")
+            raise InvalidParameterError("correlation matrix must be symmetric")
         if np.any(np.abs(R) > 1.0 + 1e-10):
-            raise ValueError("correlations must lie in [-1, 1]")
+            raise InvalidParameterError("correlations must lie in [-1, 1]")
         if np.any(s <= 0.0):
             raise ZeroVarianceError("column sd-norms must be positive")
         # Exact unit diagonal and symmetry, whatever roundoff came in.
@@ -249,10 +254,10 @@ def standardize(data: Dataset, group) -> tuple[Dataset, np.ndarray]:
     on the group block while all other slopes are unchanged.
     """
     if not data.has_intercept:
-        raise ValueError("standardize requires an intercepted model")
+        raise InvalidParameterError("standardize requires an intercepted model")
     idx = _check_group(data, group)
     if 0 in idx:
-        raise ValueError("the intercept column cannot be standardized")
+        raise InvalidParameterError("the intercept column cannot be standardized")
 
     keep = [j for j in range(data.q) if j != 0]
     cols = data.X[:, keep]
@@ -279,9 +284,12 @@ def load_csv(path, response: str) -> Dataset:
     """Read a headered CSV file into a :class:`Dataset`.
 
     The named response column becomes y; all remaining columns become
-    predictors in file order, after the explicit intercept column. Missing
-    or non-numeric cells are rejected, and an error names the first
-    offending line. The file must be UTF-8; a byte-order mark is ignored.
+    predictors in file order, after the explicit intercept column. A cell is
+    accepted exactly when ``float()`` accepts it and gives a finite value,
+    blank lines are skipped, and an error names the first offending line.
+    Plain numeric files are read by numpy's C parser, any other file row by
+    row (see :func:`_read_table`); both give the same values. The file must
+    be UTF-8; a byte-order mark is ignored.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -291,18 +299,33 @@ def load_csv(path, response: str) -> Dataset:
     if table.shape[0] == 0:
         raise DataFormatError(f"{path}: no data rows")
 
+    # X is the table itself, the response column dropped and the intercept
+    # prepended in place: columns [a, y, b] become [1, a, b]
     r_col = header.index(response)
-    y = table[:, r_col]
-    pred_idx = [j for j in range(len(header)) if j != r_col]
-    return Dataset.from_columns(
-        y,
-        [table[:, j] for j in pred_idx],
-        [header[j] for j in pred_idx],
+    y = table[:, r_col].copy()
+    table[:, 1:r_col + 1] = table[:, :r_col]
+    table[:, 0] = 1.0
+    return Dataset(
+        y=y,
+        X=table,
+        names=(INTERCEPT_NAME, *header[:r_col], *header[r_col + 1:]),
+        has_intercept=True,
     )
 
 
 def _read_table(path, fh, response: str) -> tuple[list[str], np.ndarray]:
-    """Check the header of an open CSV file and parse its data rows."""
+    """Check the header of an open CSV file and parse its data rows.
+
+    The data rows go to ``np.loadtxt`` first. Its C parser converts a cell
+    with the same ``PyOS_string_to_double`` that ``float()`` calls, and it
+    refuses what ``float()`` adds on top (underscores, non-ASCII digits),
+    quoted cells and ragged rows. A file it refuses, one it would read
+    differently (a line longer than the csv field limit, a character in
+    \\x1c-\\x1f) or one whose table has the wrong width or a non-finite
+    value is read again by :func:`_parse_rows`. So a cell is accepted
+    exactly when ``float()`` accepts it, and an error names the first bad
+    line.
+    """
     reader = csv.reader(fh)
     try:
         header = next(reader)
@@ -319,32 +342,21 @@ def _read_table(path, fh, response: str) -> tuple[list[str], np.ndarray]:
             f"{path}: response column {response!r} not found in header"
         )
     ncol = len(header)
-    limit = csv.field_size_limit()
-
-    def rows():
-        # With newline="" a line holding no quote splits into exactly the
-        # cells csv.reader gives; csv.reader also caps a cell at ``limit``.
-        for line in fh:
-            line = line.rstrip("\r\n")
-            if '"' in line or len(line) > limit:
-                raise ValueError("line for csv.reader")
-            if line:  # blank lines are skipped
-                row = line.split(",")
-                if len(row) != ncol:
-                    raise ValueError("wrong field count")
-                yield row
-
-    # every cell is parsed by float(), as in _parse_rows, so both paths accept
-    # the same strings; any other file is read again row by row, which also
-    # names its first bad line
-    try:
-        table = np.fromiter(map(float, itertools.chain.from_iterable(rows())),
-                            dtype=np.float64).reshape(-1, ncol)
-    except UnicodeDecodeError:
-        raise
-    except ValueError:
-        table = None
-    if table is None or not np.isfinite(table).all():
+    lines = fh.readlines()  # a StringIO over the joined text would hold it twice
+    if not any(line.rstrip("\r\n") for line in lines):
+        return header, np.empty((0, ncol))  # loadtxt would warn "no data"
+    table = None
+    # loadtxt caps no cell, and it strips \x1c-\x1f around a cell as
+    # whitespace where float() refuses them
+    if max(map(len, lines)) <= csv.field_size_limit() and not any(
+        sep in line for sep in "\x1c\x1d\x1e\x1f" for line in lines
+    ):
+        try:
+            table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
+                               ndmin=2, dtype=np.float64)
+        except ValueError:
+            pass
+    if table is None or table.shape[1] != ncol or not np.isfinite(table).all():
         fh.seek(0)
         table = _parse_rows(path, csv.reader(fh), ncol)
     return header, table

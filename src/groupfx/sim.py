@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exceptions import InvalidParameterError
 from .linmod import INTERCEPT_NAME, Dataset, correlation, fit_ols
 
 DEFAULT_BETA = (5.0, 0.0, 0.0, 1.0, 2.0, 3.0, 1.0, 1.0, 1.0, 2.0, 3.0)
@@ -76,9 +77,9 @@ class Transform:
 
     def __post_init__(self):
         if not 1 <= self.index <= N_VARS:
-            raise ValueError(f"variable index must be 1..{N_VARS}, got {self.index}")
+            raise InvalidParameterError(f"variable index must be 1..{N_VARS}, got {self.index}")
         if self.scale == 0.0:
-            raise ValueError("scale factor must be nonzero")
+            raise InvalidParameterError("scale factor must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -99,17 +100,17 @@ class SimCaseConfig:
 
     def __post_init__(self):
         if not (0.0 <= self.w1 <= 1.0 and 0.0 <= self.w2 <= 1.0):
-            raise ValueError("mixing weights must lie in [0, 1]")
+            raise InvalidParameterError("mixing weights must lie in [0, 1]")
         if len(self.beta) != N_VARS + 1:
-            raise ValueError(f"beta must have {N_VARS + 1} entries (intercept first)")
+            raise InvalidParameterError(f"beta must have {N_VARS + 1} entries (intercept first)")
         if self.replicates < 1:
-            raise ValueError("at least one replicate required")
+            raise InvalidParameterError("at least one replicate required")
         if self.n < 1:
-            raise ValueError("sample size n must be >= 1")
+            raise InvalidParameterError("sample size n must be >= 1")
         if self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
+            raise InvalidParameterError("seed must be a nonnegative integer")
         if self.sigma2 < 0.0:
-            raise ValueError("sigma2 must be nonnegative")
+            raise InvalidParameterError("sigma2 must be nonnegative")
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         object.__setattr__(self, "transforms", tuple(self.transforms))
 
@@ -296,7 +297,7 @@ def paper_case_config(case: int, seed: int = 0, replicates: int = 1000,
         5: ((0.90, 0.90), (Transform(2, flip=True), Transform(5, flip=True))),
     }
     if case not in settings:
-        raise ValueError(f"case must be 1..5, got {case}")
+        raise InvalidParameterError(f"case must be 1..5, got {case}")
     (w1, w2), transforms = settings[case]
     return SimCaseConfig(
         w1=w1, w2=w2, n=n, replicates=replicates, seed=seed,

@@ -22,6 +22,7 @@ from .exceptions import (
     BudgetTooSmallError,
     DegenerateCorrelationError,
     DimensionMismatchError,
+    InvalidParameterError,
     NegativeDeltaError,
 )
 
@@ -55,13 +56,13 @@ class UniformSpec:
 
     def __post_init__(self):
         if int(self.p) != self.p or self.p < 2:
-            raise ValueError(f"p must be an integer >= 2, got {self.p}")
+            raise InvalidParameterError(f"p must be an integer >= 2, got {self.p}")
         if not (0.0 <= self.r < 1.0):
             raise DegenerateCorrelationError(
                 f"common correlation must lie in [0, 1), got {self.r}"
             )
         if not (self.sigma2 > 0.0):
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+            raise InvalidParameterError(f"sigma2 must be positive, got {self.sigma2}")
         if self.denominator <= 0.0:
             raise DegenerateCorrelationError(
                 f"equicorrelation matrix not positive definite for p={self.p}, r={self.r}"

@@ -1,6 +1,7 @@
 """Tests for dataset handling, OLS fitting, correlation and standardization."""
 
 import csv
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import groupfx.linmod
 from groupfx import (
     Dataset,
     DataFormatError,
@@ -35,6 +37,10 @@ class TestDatasetValidation:
         with pytest.raises(DimensionMismatchError):
             Dataset(y=np.ones(5), X=np.random.default_rng(0).standard_normal((5, 2)),
                     names=("a",))
+
+    def test_unequal_column_lengths_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="column 'b' has 4 rows but y has 5"):
+            Dataset.from_columns(np.ones(5), [np.arange(5.0), np.arange(4.0)], ["a", "b"])
 
     def test_zero_rows_rejected(self):
         with pytest.raises(DataFormatError, match="no rows"):
@@ -283,6 +289,11 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError):
             load_csv(path, "y")
 
+    def test_rows_all_wider_than_the_header_rejected(self, tmp_path):
+        path = self._write(tmp_path, "y,a\n1,2,3\n4,5,6\n")
+        with pytest.raises(DataFormatError, match=r"data\.csv:2: expected 2 fields, got 3$"):
+            load_csv(path, "y")
+
     def test_rows_that_even_out_are_still_ragged(self, tmp_path):
         # 2 + 4 cells make two 3-field rows' worth; the short row is reported
         path = self._write(tmp_path, "y,a,b\n1,2\n3,4,5,6\n")
@@ -375,6 +386,34 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match=r"data\.csv:6: field larger than field limit"):
             load_csv(path, "y")
 
+    def test_plain_numeric_file_takes_the_fast_path(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("plain numeric file read row by row")
+
+        monkeypatch.setattr(groupfx.linmod, "_parse_rows", refuse)
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,a,b\r\n1,2,3\r\n\r\n2, 3 ,5e0\r\n\n0,-1.5,2\r\n4,0,.25")
+        data = load_csv(path, "y")
+        assert data.names == ("intercept", "a", "b")
+        npt.assert_array_equal(data.y, [1, 2, 0, 4])
+        npt.assert_array_equal(data.X, [[1, 2, 3], [1, 3, 5], [1, -1.5, 2], [1, 0, 0.25]])
+
+    @pytest.mark.parametrize("body", ["", "\n", "\r\n\n\r"], ids=["none", "lf", "mixed"])
+    def test_header_only_file_has_no_data_rows(self, tmp_path, body):
+        # numpy's reader warns on an empty table; no warning reaches the caller
+        path = self._write(tmp_path, "y,a\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match=r"data\.csv: no data rows$"):
+                load_csv(path, "y")
+
+    @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_separator_padding_rejected_like_float(self, tmp_path, sep):
+        # numpy strips these around a cell, float() does not
+        path = self._write(tmp_path, f"y,a\n1,2\n3,{sep}4\n")
+        with pytest.raises(DataFormatError, match=r"data\.csv:3: missing or non-numeric"):
+            load_csv(path, "y")
+
     def test_line_over_the_field_limit_accepted(self, tmp_path):
         # every cell is within the limit, only the line is longer
         cell = "0" * (csv.field_size_limit() - 1) + "1"
@@ -417,33 +456,36 @@ def reference_load(path, response):
 PLAIN_CELLS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
     st.integers(-99, 99).map(str),
-    st.sampled_from(["1_0", " 2 ", "+.5", "-1e3"]),
+    st.sampled_from(["1_0", " 2 ", "+.5", "-1e3", "\x0b5", "6\x0c", "\xa07\xa0", "١", "３"]),
 )
 QUOTED_CELLS = st.sampled_from(['"3"', '" 4 "', '"7\n"', '"-1e3"'])
-BAD_CELLS = st.sampled_from(["nan", "inf", "-inf", "", "x", "0x1", '"5,6"', '"8""9"', 'a"b'])
+BAD_CELLS = st.sampled_from(["nan", "inf", "-inf", "", "x", "0x1", '"5,6"', '"8""9"', 'a"b',
+                             "1e309", "#", "1\x00", "\x1c1", "1\x1f"])
 
 
 @st.composite
 def csv_files(draw):
     """Small CSV files with a y column and 0-3 predictors, mixing line endings,
     quotes, padding and blank lines. Some hold one kind of bad cell and
-    short, long and trailing-comma rows."""
+    short, long, trailing-comma and whitespace-only rows."""
     ncol = draw(st.integers(1, 4))
     names = draw(st.permutations(["y", "a", "b", "c"][:ncol]))
     header = [draw(st.sampled_from(["{}", '"{}"', " {} ", '" {}"'])).format(h) for h in names]
     cell_st = draw(st.sampled_from([PLAIN_CELLS, st.one_of(PLAIN_CELLS, QUOTED_CELLS)]))
     bad = draw(st.one_of(st.none(), BAD_CELLS))
-    kinds = ["row"] if bad is None else ["row"] * 4 + ["short", "long", "comma"]
+    kinds = ["row"] if bad is None else ["row"] * 4 + ["short", "long", "comma", "space"]
     lines = [",".join(header)]
     for _ in range(draw(st.integers(0, 8))):
         kind = draw(st.sampled_from(kinds + ["blank"]))
         width = {"row": ncol, "blank": 0, "short": ncol - 1, "long": ncol + 1,
-                 "comma": ncol - 1}[kind]
+                 "comma": ncol - 1, "space": 0}[kind]
         cells = draw(st.lists(cell_st, min_size=width, max_size=width))
         if bad is not None and cells and draw(st.booleans()):
             cells[draw(st.integers(0, width - 1))] = bad
         if kind == "blank" or (kind == "short" and ncol == 1):
             lines.append("")
+        elif kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", "\x0b", "\xa0 "])))
         else:
             lines.append(",".join(cells) + ("," if kind == "comma" else ""))
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
