@@ -41,13 +41,17 @@ def _fmt(x) -> str:
 
 
 def _round8(obj):
-    """Recursively round floats to 8 significant digits for stable output."""
+    """Recursively round floats to 8 significant digits for stable output.
+    An inf or NaN is an error: strict JSON has no such number, and a CSV
+    reader would take it for data."""
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
-    if isinstance(obj, float):
-        return float(f"{obj:.8g}")
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.8g}")
+    if isinstance(obj, (float, np.floating)):
+        x = float(f"{float(obj):.8g}")
+        if not math.isfinite(x):
+            raise GroupFxError("the result holds a non-finite number (inf or nan); "
+                               "an input is too large or too degenerate for float64")
+        return x
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -57,15 +61,6 @@ def _round8(obj):
     if isinstance(obj, (list, tuple)):
         return [_round8(v) for v in obj]
     return obj
-
-
-def _csv_lines(header, rows) -> list[str]:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue().splitlines()
 
 
 @dataclass
@@ -379,37 +374,21 @@ def _resolve_anchor(data: Dataset, idx: list[int], token) -> int | None:
     return idx.index(a_col)
 
 
-@dataclass
-class UniformResult:
-    p: int
-    rows: list
+# Each runner returns a report: a list of CSV tables, each a (header, rows)
+# pair, and the JSON document without its schema_version. The document holds
+# every number in the tables, so checking it checks both formats.
 
-
-@dataclass
-class AnalyzeResult:
-    rows: list  # (effect, estimate, std_error, t, p)
-    diagnostics: dict
-
-
-@dataclass
-class SimulateResult:
-    reports: list
-    checks: list
-
-
-@dataclass
-class ClrResult:
-    solution: object
-    names: tuple
-
-
-def run_uniform(config: RunConfig) -> UniformResult:
+def run_uniform(config: RunConfig) -> tuple[list, dict]:
     opts = config.options
     rows = table1(opts["p"], opts["r_values"], sigma2=opts["sigma2"])
-    return UniformResult(p=opts["p"], rows=rows)
+    doc = {
+        "p": opts["p"],
+        "table": [{"r": r, "var_avg": a, "var_indiv": i} for r, a, i in rows],
+    }
+    return [(("r", "var_avg", "var_indiv"), rows)], doc
 
 
-def run_analyze(config: RunConfig) -> AnalyzeResult:
+def run_analyze(config: RunConfig) -> tuple[list, dict]:
     data = load_csv(config.input_path, config.response)
     fit = fit_ols(data)
     rows = []
@@ -438,174 +417,118 @@ def run_analyze(config: RunConfig) -> AnalyzeResult:
             "weights": w_w.weights.tolist(),
             "column_sds": corr.column_sds.tolist(),
         })
-    return AnalyzeResult(rows=rows, diagnostics=diagnostics)
+    doc = {
+        "effects": [
+            {"effect": e, "estimate": v, "std_error": s, "t": t, "p": p}
+            for e, v, s, t, p in rows
+        ],
+        "diagnostics": diagnostics,
+    }
+    return [(("effect", "estimate", "std_error", "t", "p"), rows)], doc
 
 
-def run_simulate(config: RunConfig) -> SimulateResult:
+def run_simulate(config: RunConfig) -> tuple[list, dict]:
     opts = config.options
     if opts["paper_suite"]:
         suite = sim_mod.run_paper_suite(seed=config.seed,
                                         replicates=opts["replicates"], n=opts["n"])
-        return SimulateResult(reports=list(suite.reports), checks=list(suite.checks))
-    if opts["case"] is not None:
-        case_config = sim_mod.paper_case_config(
-            opts["case"], seed=config.seed, replicates=opts["replicates"], n=opts["n"]
-        )
-        weights = {k: opts[k] for k in ("w1", "w2") if opts[k] is not None}
-        case_config = replace(case_config, **weights)
+        reports, checks = suite.reports, suite.checks
     else:
-        case_config = sim_mod.SimCaseConfig(
-            w1=opts["w1"], w2=opts["w2"], n=opts["n"],
-            replicates=opts["replicates"], seed=config.seed, label="custom",
-        )
-    return SimulateResult(reports=[sim_mod.run_case(case_config)], checks=[])
+        if opts["case"] is not None:
+            case_config = sim_mod.paper_case_config(
+                opts["case"], seed=config.seed, replicates=opts["replicates"], n=opts["n"]
+            )
+            weights = {k: opts[k] for k in ("w1", "w2") if opts[k] is not None}
+            case_config = replace(case_config, **weights)
+        else:
+            case_config = sim_mod.SimCaseConfig(
+                w1=opts["w1"], w2=opts["w2"], n=opts["n"],
+                replicates=opts["replicates"], seed=config.seed, label="custom",
+            )
+        reports, checks = [sim_mod.run_case(case_config)], ()
 
-
-def run_clr(config: RunConfig) -> ClrResult:
-    data = load_csv(config.input_path, config.response)
-    idx = _resolve_columns(data, config.options["group_tokens"][0], "--group")
-    anchor = _resolve_anchor(data, idx, config.options.get("anchor_token"))
-    offsets = config.options["c_offsets"]
-    if len(offsets) == 1:
-        solution = clr_mod.solve_clr(
-            data, idx,
-            c_offset=offsets[0],
-            selection=config.options["select"],
-            n_folds=config.options["folds"],
-            seed=config.seed,
-            anchor=anchor,
-        )
-    else:
-        solution = clr_mod.solve_clr_best_offset(
-            data, idx, offsets,
-            selection=config.options["select"],
-            n_folds=config.options["folds"],
-            seed=config.seed,
-            anchor=anchor,
-        )
-    return ClrResult(solution=solution, names=data.names)
-
-
-def _all_finite(obj) -> bool:
-    if isinstance(obj, float):
-        return math.isfinite(obj)
-    if isinstance(obj, dict):
-        return all(map(_all_finite, obj.values()))
-    if isinstance(obj, list):
-        return all(map(_all_finite, obj))
-    return True
-
-
-def render_report(result, fmt: str) -> bytes:
-    """Serialize a subcommand result to CSV or JSON bytes; floats carry 8
-    significant digits so repeated runs are byte-identical. A result holding
-    an inf or NaN is an error in either format: strict JSON has no such
-    number, and a CSV reader would take it for data."""
-    data = _round8(_render_json(result))
-    if not _all_finite(data):
-        raise GroupFxError("the result holds a non-finite number (inf or nan); "
-                           "an input is too large or too degenerate for float64")
-    if fmt == "csv":
-        text = "\n".join(_render_csv(result)) + "\n"
-    else:
-        text = json.dumps(data, indent=2) + "\n"
-    return text.encode("utf-8")
-
-
-def _render_csv(result) -> list[str]:
-    if isinstance(result, UniformResult):
-        return _csv_lines(("r", "var_avg", "var_indiv"), result.rows)
-    if isinstance(result, AnalyzeResult):
-        return _csv_lines(("effect", "estimate", "std_error", "t", "p"), result.rows)
-    if isinstance(result, SimulateResult):
-        rows = [
-            (rep.label, eff.label, eff.mean, eff.variance)
-            for rep in result.reports for eff in rep.effects
-        ]
-        lines = _csv_lines(("case", "effect", "mean", "variance"), rows)
-        if result.checks:
-            lines.append("")
-            lines.extend(_csv_lines(
-                ("check", "passed", "detail"),
-                [(c.name, c.passed, c.detail) for c in result.checks],
-            ))
-        return lines
-    if isinstance(result, ClrResult):
-        sol = result.solution
-        rows = [("tau_hat", "", sol.problem.tau_hat),
-                ("min_norm_sq", "", sol.min_norm_sq),
-                ("c", "", sol.c)]
-        for label, vec in (("beta_star", sol.beta_star),
-                           ("candidate_1", sol.candidates[0]),
-                           ("candidate_2", sol.candidates[1]),
-                           ("chosen", sol.chosen)):
-            rows.extend((label, result.names[j], v)
-                        for j, v in zip(sol.group, vec))
-        rows.extend(("full_beta", name, v)
-                    for name, v in zip(result.names, sol.full_beta))
-        return _csv_lines(("quantity", "component", "value"), rows)
-    raise TypeError(f"cannot render {type(result).__name__}")
-
-
-def _report_dict(rep) -> dict:
-    return {
-        "label": rep.label,
-        "replicates": rep.replicates,
-        "seed": rep.seed,
-        "effects": [
-            {"effect": e.label, "mean": e.mean, "variance": e.variance,
-             "true_value": e.true_value}
-            for e in rep.effects
-        ],
-        "corr_ranges": {k: list(v) for k, v in rep.corr_ranges.items()},
-    }
-
-
-def _render_json(result) -> dict:
-    if isinstance(result, UniformResult):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "p": result.p,
-            "table": [
-                {"r": r, "var_avg": a, "var_indiv": i} for r, a, i in result.rows
-            ],
-        }
-    if isinstance(result, AnalyzeResult):
-        return {
-            "schema_version": SCHEMA_VERSION,
+    tables = [(("case", "effect", "mean", "variance"),
+               [(rep.label, e.label, e.mean, e.variance)
+                for rep in reports for e in rep.effects])]
+    if checks:
+        tables.append((("check", "passed", "detail"),
+                       [(c.name, c.passed, c.detail) for c in checks]))
+    doc = {
+        "cases": [{
+            "label": rep.label,
+            "replicates": rep.replicates,
+            "seed": rep.seed,
             "effects": [
-                {"effect": e, "estimate": v, "std_error": s, "t": t, "p": p}
-                for e, v, s, t, p in result.rows
+                {"effect": e.label, "mean": e.mean, "variance": e.variance,
+                 "true_value": e.true_value}
+                for e in rep.effects
             ],
-            "diagnostics": result.diagnostics,
-        }
-    if isinstance(result, SimulateResult):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "cases": [_report_dict(rep) for rep in result.reports],
-            "checks": [
-                {"check": c.name, "passed": c.passed, "detail": c.detail}
-                for c in result.checks
-            ],
-        }
-    if isinstance(result, ClrResult):
-        sol = result.solution
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "group": [result.names[j] for j in sol.group],
-            "weights": sol.problem.w.weights.tolist(),
-            "signs": sol.signs.signs.tolist(),
-            "tau_hat": sol.problem.tau_hat,
-            "beta_star": sol.beta_star.tolist(),
-            "min_norm_sq": sol.min_norm_sq,
-            "c": sol.c,
-            "candidates": [c.tolist() for c in sol.candidates],
-            "chosen": sol.chosen.tolist(),
-            "selection": sol.selection,
-            "full_beta": {n: float(b) for n, b in zip(result.names, sol.full_beta)},
-            "diagnostics": sol.diagnostics,
-        }
-    raise TypeError(f"cannot render {type(result).__name__}")
+            "corr_ranges": {k: list(v) for k, v in rep.corr_ranges.items()},
+        } for rep in reports],
+        "checks": [
+            {"check": c.name, "passed": c.passed, "detail": c.detail}
+            for c in checks
+        ],
+    }
+    return tables, doc
+
+
+def run_clr(config: RunConfig) -> tuple[list, dict]:
+    opts = config.options
+    data = load_csv(config.input_path, config.response)
+    idx = _resolve_columns(data, opts["group_tokens"][0], "--group")
+    anchor = _resolve_anchor(data, idx, opts.get("anchor_token"))
+    settings = {"selection": opts["select"], "n_folds": opts["folds"],
+                "seed": config.seed, "anchor": anchor}
+    if len(opts["c_offsets"]) == 1:
+        sol = clr_mod.solve_clr(data, idx, c_offset=opts["c_offsets"][0], **settings)
+    else:
+        sol = clr_mod.solve_clr_best_offset(data, idx, opts["c_offsets"], **settings)
+
+    names = data.names
+    rows = [("tau_hat", "", sol.problem.tau_hat),
+            ("min_norm_sq", "", sol.min_norm_sq),
+            ("c", "", sol.c)]
+    for label, vec in (("beta_star", sol.beta_star),
+                       ("candidate_1", sol.candidates[0]),
+                       ("candidate_2", sol.candidates[1]),
+                       ("chosen", sol.chosen)):
+        rows.extend((label, names[j], v) for j, v in zip(sol.group, vec))
+    rows.extend(("full_beta", name, v) for name, v in zip(names, sol.full_beta))
+    doc = {
+        "group": [names[j] for j in sol.group],
+        "weights": sol.problem.w.weights.tolist(),
+        "signs": sol.signs.signs.tolist(),
+        "tau_hat": sol.problem.tau_hat,
+        "beta_star": sol.beta_star.tolist(),
+        "min_norm_sq": sol.min_norm_sq,
+        "c": sol.c,
+        "candidates": [c.tolist() for c in sol.candidates],
+        "chosen": sol.chosen.tolist(),
+        "selection": sol.selection,
+        "full_beta": {n: float(b) for n, b in zip(names, sol.full_beta)},
+        "diagnostics": sol.diagnostics,
+    }
+    return [(("quantity", "component", "value"), rows)], doc
+
+
+def render_report(report, fmt: str) -> bytes:
+    """Serialize a runner's ``(tables, doc)`` report to CSV or JSON bytes;
+    floats carry 8 significant digits so repeated runs are byte-identical.
+    CSV tables are separated by a blank line. A report holding an inf or NaN
+    is an error in either format."""
+    tables, doc = report
+    data = _round8({"schema_version": SCHEMA_VERSION, **doc})
+    if fmt != "csv":
+        return (json.dumps(data, indent=2) + "\n").encode("utf-8")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for i, (header, rows) in enumerate(tables):
+        if i:
+            writer.writerow(())
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+    return buf.getvalue().encode("utf-8")
 
 
 _RUNNERS = {
@@ -624,8 +547,8 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        result = _RUNNERS[config.subcommand](config)
-        payload = render_report(result, config.format)
+        report = _RUNNERS[config.subcommand](config)
+        payload = render_report(report, config.format)
         if config.out:
             with open(config.out, "wb") as fh:
                 fh.write(payload)

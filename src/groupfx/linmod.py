@@ -284,7 +284,8 @@ def load_csv(path, response: str) -> Dataset:
     """Read a headered CSV file into a :class:`Dataset`.
 
     The named response column becomes y; all remaining columns become
-    predictors in file order, after the explicit intercept column. A cell is
+    predictors in file order, after the explicit intercept column, so no
+    predictor may be named ``intercept``. A cell is
     accepted exactly when ``float()`` accepts it and gives a finite value,
     blank lines are skipped, and an error names the first offending line.
     Plain numeric files are read by numpy's C parser, any other file row by
@@ -341,6 +342,9 @@ def _read_table(path, fh, response: str) -> tuple[list[str], np.ndarray]:
         raise DataFormatError(
             f"{path}: response column {response!r} not found in header"
         )
+    if INTERCEPT_NAME in header and response != INTERCEPT_NAME:
+        raise DataFormatError(f"{path}: column name {INTERCEPT_NAME!r} is reserved "
+                              "for the added intercept column")
     ncol = len(header)
     lines = fh.readlines()  # a StringIO over the joined text would hold it twice
     if not any(line.rstrip("\r\n") for line in lines):

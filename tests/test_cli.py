@@ -29,6 +29,23 @@ def dataset_csv(tmp_path):
     return path
 
 
+DATA_DIR = Path(__file__).parent / "data"
+# a draw of the two-group mixing design written with repr floats; groups
+# 3,4,5 and x1,x2 meet the APC condition
+MIXING_CSV = str(DATA_DIR / "mixing_w085_w080_seed3.csv")
+
+# golden file stem -> argv, each run in both formats
+_GOLDEN_RUNS = {
+    "simulate_paper_suite_seed0": ["simulate", "--paper-suite", "--seed", "0"],
+    "uniform_p8": ["uniform", "--p", "8"],
+    "analyze_mixing_two_groups": ["analyze", "--csv", MIXING_CSV, "--response", "y",
+                                  "--group", "3,4,5", "--group", "x1,x2"],
+    "clr_mixing_kfold_seed3": ["clr", "--csv", MIXING_CSV, "--response", "y",
+                               "--group", "3,4,5", "--select", "kfold",
+                               "--c-offset", "0,1,3", "--folds", "7", "--seed", "3"],
+}
+
+
 def run_main(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -358,6 +375,23 @@ class TestClrCommand:
         assert out.splitlines()[0] == "quantity,component,value"
 
 
+@pytest.mark.parametrize("name", ["a\x0bb", "a\x1cb", "a\u2028b"])
+@pytest.mark.parametrize("command", ["analyze", "clr"])
+def test_csv_row_with_a_line_boundary_in_a_name_stays_whole(tmp_path, capsys, command, name):
+    # str.splitlines breaks a line at these characters, and the csv module
+    # writes them unquoted; each report row must still be one CSV record
+    text = Path(MIXING_CSV).read_text()
+    path = tmp_path / "data.csv"
+    path.write_text(text.replace("x3", name, 1), newline="")
+    code, out, err = run_main([command, "--csv", str(path), "--response", "y",
+                               "--group", "3,4,5", "--format", "csv"], capsys)
+    assert code == 0, err
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert rows[0][0] in ("effect", "quantity")
+    assert [len(row) for row in rows] == [len(rows[0])] * len(rows)
+    assert any(name in cell for row in rows for cell in row)
+
+
 class TestDeterminism:
     def test_every_subcommand_is_byte_identical(self, dataset_csv, capsys):
         invocations = [
@@ -381,18 +415,22 @@ class TestDeterminism:
         assert out1 == out2
         assert "check,passed,detail" in out1
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_paper_suite_matches_golden_bytes(self, fmt, capsysbinary):
+    @pytest.mark.parametrize("stem, args, fmt", [
+        # the paper suite's cases keep their original ids, csv and json
+        pytest.param(stem, args, fmt, id=fmt if stem.startswith("simulate") else f"{stem}-{fmt}")
+        for stem, args in _GOLDEN_RUNS.items() for fmt in ("csv", "json")
+    ])
+    def test_paper_suite_matches_golden_bytes(self, stem, args, fmt, capsysbinary):
         # reruns are byte-identical to stdout captured when the file was
         # written; a change to any printed digit must replace the file
-        golden = Path(__file__).parent / "data" / f"simulate_paper_suite_seed0.{fmt}"
-        assert main(["simulate", "--paper-suite", "--seed", "0", "--format", fmt]) == 0
+        golden = DATA_DIR / f"{stem}.{fmt}"
+        assert main(args + ["--format", fmt]) == 0
         assert capsysbinary.readouterr().out == golden.read_bytes()
 
     def test_multi_block_paper_suite_matches_golden_bytes(self, capsysbinary):
         # 20000 replicates at n = 15 are 300,000 normals per case, more than
         # one noise block, so later blocks continue the shared first block
-        golden = Path(__file__).parent / "data" / "simulate_paper_suite_seed3_r20000.csv"
+        golden = DATA_DIR / "simulate_paper_suite_seed3_r20000.csv"
         assert main(["simulate", "--paper-suite", "--seed", "3", "--replicates", "20000"]) == 0
         assert capsysbinary.readouterr().out == golden.read_bytes()
 

@@ -313,6 +313,20 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match=f"duplicate column name '{dup}'"):
             load_csv(path, "y")
 
+    def test_predictor_named_intercept_rejected(self, tmp_path):
+        # the added intercept column takes that name; the file itself has
+        # no duplicate, so the error says why the name is refused
+        path = self._write(tmp_path, "y,intercept,a\n1,2,3\n2,3,5\n0,1,2\n4,0,1\n")
+        with pytest.raises(DataFormatError, match=r"data\.csv: column name 'intercept' "
+                                                  r"is reserved for the added intercept column$"):
+            load_csv(path, "y")
+
+    def test_response_named_intercept_accepted(self, tmp_path):
+        path = self._write(tmp_path, "intercept,a,b\n1,2,3\n2,3,5\n0,1,2\n4,0,1\n")
+        data = load_csv(path, "intercept")
+        assert data.names == ("intercept", "a", "b")
+        npt.assert_allclose(data.y, [1, 2, 0, 4])
+
     @pytest.mark.parametrize("bad, message", [
         ("x", "missing or non-numeric value"),
         ("", "missing or non-numeric value"),
