@@ -23,7 +23,7 @@ from .effects import (
     variability_weights,
 )
 from .exceptions import InvalidParameterError, RadiusTooSmallError, ZeroWeightError
-from .linmod import RCOND_MIN, Dataset, OlsFit, correlation, fit_ols
+from .linmod import Dataset, OlsFit, correlation, fit_ols
 
 _MEMBERSHIP_TOL = 1e-8
 # Smallest eigenvalue of Q_T'Q_T for which a k-fold refit is downdated from
@@ -40,14 +40,8 @@ class ClrProblem:
     tau_hat: float
 
     def __post_init__(self):
-        if np.linalg.norm(self.w.weights) == 0.0:
-            raise ZeroWeightError("weight vector must be nonzero")
         if not np.isfinite(self.tau_hat):
             raise InvalidParameterError("tau_hat must be finite")
-
-    @property
-    def p(self) -> int:
-        return self.w.p
 
 
 @dataclass(frozen=True)
@@ -74,8 +68,6 @@ def min_norm_point(problem: ClrProblem) -> tuple[np.ndarray, float]:
     """
     w = problem.w.weights
     wnorm_sq = float(w @ w)
-    if wnorm_sq == 0.0:
-        raise ZeroWeightError("weight vector must be nonzero")
     beta_star = (problem.tau_hat / wnorm_sq) * w
     return beta_star, problem.tau_hat**2 / wnorm_sq
 
@@ -154,8 +146,9 @@ def _heldout_residuals(data: Dataset, group, n_folds: int, seed: int) -> np.ndar
     rank: Allen's PRESS identity, generalised from one held-out row to a
     block. A fold whose C has an eigenvalue at or below ``_DOWNDATE_MIN_EIG``
     (held-out leverage near 1, or a rank-deficient training design) is refit
-    by ``lstsq``, the only way to its minimum-norm answer, and so is every
-    fold when X_rest itself is near-singular.
+    by ``lstsq``, the only way to its minimum-norm answer. X_rest itself
+    has full column rank: it is a column subset of an X that
+    :func:`~groupfx.linmod.fit_ols` accepted.
     """
     idx = list(group)
     rest = [j for j in range(data.q) if j not in idx]
@@ -165,22 +158,17 @@ def _heldout_residuals(data: Dataset, group, n_folds: int, seed: int) -> np.ndar
     X_rest = data.X[:, rest]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     perm = rng.permutation(data.n)
-    Q, R = np.linalg.qr(X_rest)
-    sv = np.linalg.svd(R, compute_uv=False)
-    # solve_clr(fit=...) skips fit_ols's rank check, and Q spans more than a
-    # near-singular X_rest
-    downdate = sv[-1] ** 2 > RCOND_MIN * sv[0] ** 2
+    Q, _ = np.linalg.qr(X_rest)
     QtZ = Q.T @ Z
     eye = np.eye(len(rest))
     resid = np.empty_like(Z)
     for fold in np.array_split(perm, min(n_folds, data.n)):
         Q_H, Z_H = Q[fold], Z[fold]
-        if downdate:
-            lam, V = np.linalg.eigh(eye - Q_H.T @ Q_H)
-            if lam[0] > _DOWNDATE_MIN_EIG:
-                g = V @ ((V.T @ (QtZ - Q_H.T @ Z_H)) / lam[:, None])
-                resid[fold] = Z_H - Q_H @ g
-                continue
+        lam, V = np.linalg.eigh(eye - Q_H.T @ Q_H)
+        if lam[0] > _DOWNDATE_MIN_EIG:
+            g = V @ ((V.T @ (QtZ - Q_H.T @ Z_H)) / lam[:, None])
+            resid[fold] = Z_H - Q_H @ g
+            continue
         train = np.ones(data.n, dtype=bool)
         train[fold] = False
         coef, *_ = np.linalg.lstsq(X_rest[train], Z[train], rcond=None)
@@ -194,12 +182,11 @@ def _heldout_sse(resid: np.ndarray, beta_group: np.ndarray) -> float:
     return float(r @ r)
 
 
-def _offset_solver(data, group, selection, n_folds, seed, anchor, fit):
+def _offset_solver(data, group, selection, n_folds, seed, anchor):
     """Do the part of :func:`solve_clr` that does not depend on c_offset (OLS
     fit, group geometry, search direction, k-fold operator) and return the
     function that finishes a solve at a given c_offset."""
-    if fit is None:
-        fit = fit_ols(data)
+    fit = fit_ols(data)
     idx = [int(j) for j in group]
     corr = correlation(data, idx)
     signs = apc_arrangement(corr, anchor)
@@ -244,7 +231,6 @@ def solve_clr(
     n_folds: int = 5,
     seed: int = 0,
     anchor: int | None = None,
-    fit: OlsFit | None = None,
 ) -> ClrSolution:
     """Run the full constrained local regression for one group.
 
@@ -255,7 +241,8 @@ def solve_clr(
     ``"kfold"`` (cross-validated prediction error with fold assignment drawn
     from ``seed``; more folds than rows means leave-one-out), whose refits
     for every fold and both candidates come from one QR factorization.
-    Coefficients outside the group keep their OLS values.
+    Coefficients outside the group keep their OLS values, from
+    :func:`~groupfx.linmod.fit_ols`, which rejects a singular design.
     """
     if selection not in ("min-rss", "kfold"):
         raise InvalidParameterError(f"unknown selection strategy {selection!r}")
@@ -265,7 +252,7 @@ def solve_clr(
         raise RadiusTooSmallError("c_offset must be nonnegative")
     slot = _shared_solver.get() or [None]
     if slot[0] is None:
-        slot[0] = _offset_solver(data, group, selection, n_folds, seed, anchor, fit)
+        slot[0] = _offset_solver(data, group, selection, n_folds, seed, anchor)
     return slot[0](c_offset)
 
 
@@ -291,11 +278,10 @@ def solve_clr_best_offset(
     offsets = [float(o) for o in offsets]
     if not offsets:
         raise RadiusTooSmallError("at least one c_offset is required")
-    fit = fit_ols(data)
     token = _shared_solver.set([None])
     try:
         solutions = [solve_clr(data, group, c_offset=o, selection=selection, n_folds=n_folds,
-                               seed=seed, anchor=anchor, fit=fit) for o in offsets]
+                               seed=seed, anchor=anchor) for o in offsets]
     finally:
         _shared_solver.reset(token)
     scores = [min(s.diagnostics["scores"]) for s in solutions]

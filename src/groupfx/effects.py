@@ -23,9 +23,8 @@ from .exceptions import (
     DimensionMismatchError,
     GroupTooLargeError,
     InvalidParameterError,
-    ZeroVarianceError,
 )
-from .linmod import CorrelationMatrix, OlsFit
+from .linmod import CorrelationMatrix, OlsFit, _check_group
 
 # Minimum |correlation| with the anchor variable that guarantees an APC
 # arrangement exists (cos of a 45-degree half-angle cone).
@@ -61,10 +60,6 @@ class WeightVector:
         if w.min() < -_WEIGHT_TOL or abs(w.sum() - 1.0) > _WEIGHT_TOL:
             raise InvalidParameterError("simplex weights must be nonnegative and sum to 1")
         object.__setattr__(self, "weights", w)
-
-    @property
-    def p(self) -> int:
-        return self.weights.shape[0]
 
     @classmethod
     def average(cls, p: int) -> "WeightVector":
@@ -149,27 +144,18 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     d = h = 1.0 / d
     for m in range(1, _CF_MAX_TERMS + 1):
         m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if -_CF_TINY < d < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if -_CF_TINY < c < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if -_CF_TINY < d < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if -_CF_TINY < c < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        step = d * c
-        h *= step
+        # the even step, then the odd one
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if -_CF_TINY < d < _CF_TINY:
+                d = _CF_TINY
+            c = 1.0 + aa / c
+            if -_CF_TINY < c < _CF_TINY:
+                c = _CF_TINY
+            d = 1.0 / d
+            step = d * c
+            h *= step
         if -_CF_EPS < step - 1.0 < _CF_EPS:
             return h
     raise ConvergenceError("t tail continued fraction did not converge")
@@ -270,8 +256,6 @@ def variability_weights(corr: CorrelationMatrix) -> WeightVector:
     w_j = s_j / sum(s_i). Equal variability reduces to the equal-weight
     vector."""
     s = corr.column_sds
-    if np.any(s <= 0.0):
-        raise ZeroVarianceError("column sd-norms must be positive")
     return WeightVector(s / s.sum())
 
 
@@ -288,22 +272,13 @@ def estimate_effect(
     test on the fit's residual degrees of freedom. Plain-array weights must
     be finite, as :class:`WeightVector` weights are.
     """
-    idx = [int(j) for j in group]
-    q = fit.beta_hat.shape[0]
-    for j in idx:
-        if j < 0 or j >= q:
-            raise DimensionMismatchError(f"group index {j} out of range")
+    idx = _check_group(group, fit.beta_hat.shape[0])
     wv = w.weights if isinstance(w, WeightVector) else _weight_array(w)
     if wv.shape[0] != len(idx):
-        raise DimensionMismatchError(
-            f"{wv.shape[0]} weights for a group of {len(idx)}"
-        )
-    if signs is None:
-        sv = np.ones(len(idx))
-    else:
-        sv = signs.signs
-        if sv.shape[0] != len(idx):
-            raise DimensionMismatchError("sign arrangement does not match group size")
+        raise DimensionMismatchError(f"{wv.shape[0]} weights for a group of {len(idx)}")
+    sv = np.ones(len(idx)) if signs is None else signs.signs
+    if sv.shape[0] != len(idx):
+        raise DimensionMismatchError("sign arrangement does not match group size")
 
     wt = sv * wv
     value = float(wt @ fit.beta_hat[idx])
@@ -337,13 +312,8 @@ def silvey_variance(fit: OlsFit, c) -> tuple[float, np.ndarray, np.ndarray]:
     q = fit.R.shape[0]
     if c.shape[0] != q:
         raise DimensionMismatchError(f"expected a length-{q} coefficient vector")
-    try:
-        _, sv, Vt = np.linalg.svd(fit.R)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"singular value decomposition failed: {exc}") from exc
+    _, sv, Vt = np.linalg.svd(fit.R)  # fit_ols accepted R: finite, full rank
     lam = sv**2
-    if lam[-1] <= 0.0:
-        raise ConvergenceError("X'X is not positive definite")
     alphas = Vt @ c
     variance = float(fit.sigma2_hat * np.sum(alphas**2 / lam))
     return variance, alphas, lam
@@ -371,20 +341,12 @@ def optimal_effect(fit: OlsFit, group) -> tuple[SignArrangement, WeightVector, f
     estimator variance), with ties broken toward the lexicographically
     smallest sign vector.
     """
-    idx = [int(j) for j in group]
+    idx = _check_group(group, fit.beta_hat.shape[0])
     p = len(idx)
-    if p < 1:
-        raise DimensionMismatchError("group must contain at least one column")
-    if len(set(idx)) != p:
-        raise DimensionMismatchError("group indices must be distinct")
     if p > MAX_OPTIMAL_GROUP:
         raise GroupTooLargeError(
             f"group size {p} exceeds the 2^p enumeration bound ({MAX_OPTIMAL_GROUP})"
         )
-    q = fit.beta_hat.shape[0]
-    for j in idx:
-        if j < 0 or j >= q:
-            raise DimensionMismatchError(f"group index {j} out of range")
 
     G = np.linalg.inv(fit.xtx_inv[np.ix_(idx, idx)])
     G = 0.5 * (G + G.T)

@@ -14,7 +14,7 @@ class DimensionMismatchError(GroupFxError):
 
 
 class SingularDesignError(GroupFxError):
-    """The design matrix is numerically singular (or n <= q)."""
+    """The design is numerically singular (or n <= q), or its fit overflows."""
 
 
 class ZeroVarianceError(GroupFxError):
@@ -38,7 +38,7 @@ class GroupTooLargeError(GroupFxError):
 
 
 class ConvergenceError(GroupFxError):
-    """An eigendecomposition failed or found X'X not positive definite."""
+    """An iterative evaluation (the t tail's continued fraction) did not converge."""
 
 
 class RadiusTooSmallError(GroupFxError):

@@ -10,6 +10,7 @@ immutable in spirit and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,12 +23,16 @@ from .exceptions import (
     ZeroVarianceError,
 )
 
-# Designs with reciprocal condition number of X'X below this are rejected.
+# Designs whose X'X has reciprocal condition number below this, with the
+# columns of X equilibrated so that their units do not count, are rejected.
 # Chosen to admit the near-singular r = 0.999 designs studied here while
 # still refusing exact collinearity.
 RCOND_MIN = 1e-12
 
 INTERCEPT_NAME = "intercept"
+
+_OUT_OF_RANGE = ("design is numerically singular: the scale of a column or of the "
+                 "response puts its fit outside the floating-point range")
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,7 @@ class Dataset:
         if self.has_intercept and not np.all(np.abs(X[:, 0] - 1.0) <= 1e-8 + 1e-5):
             raise DataFormatError("declared intercept column is not all ones")
         start = 1 if self.has_intercept else 0
-        constant = np.flatnonzero(np.ptp(X[:, start:], axis=0) == 0.0)
+        constant = np.flatnonzero(X[:, start:].max(axis=0) == X[:, start:].min(axis=0))
         if constant.size:
             raise ZeroVarianceError(f"column {self.names[start + constant[0]]!r} "
                                     "is constant but not the intercept")
@@ -172,8 +177,9 @@ def fit_ols(data: Dataset) -> OlsFit:
     Raises
     ------
     SingularDesignError
-        If n <= q or the reciprocal condition number of X'X falls below
-        ``RCOND_MIN``.
+        If n <= q, if the reciprocal condition number of X'X with equilibrated
+        columns falls below ``RCOND_MIN``, or if the scale of a column or of
+        the response puts the fit outside the floating-point range.
     """
     X, y = data.X, data.y
     n, q = X.shape
@@ -181,24 +187,31 @@ def fit_ols(data: Dataset) -> OlsFit:
         raise SingularDesignError(f"n={n} observations cannot fit q={q} parameters")
 
     Q, R = np.linalg.qr(X)
-    # rcond of X'X is the squared singular-value ratio of X, and R has the
-    # singular values of X.
-    sv = np.linalg.svd(R, compute_uv=False)
-    rcond = (sv[-1] / sv[0]) ** 2 if sv[0] > 0 else 0.0
+    # Column j of R has X's column norm, at most sqrt(q) max|R_ij|, and its
+    # square must be finite (with a factor 2 to spare for roundoff).
+    scale = np.abs(R).max(axis=0)
+    if not scale.max() <= math.sqrt(np.finfo(np.float64).max / (2 * q)):
+        raise SingularDesignError(_OUT_OF_RANGE)
+    # rcond of X'X from the singular values of R, its columns scaled to a largest
+    # magnitude of 1: within sqrt(q) of the best column scaling (van der Sluis 1969)
+    sv = np.linalg.svd(R / scale, compute_uv=False)
+    rcond = (sv[-1] / sv[0]) ** 2
     if not np.isfinite(rcond) or rcond < RCOND_MIN:
-        raise SingularDesignError(
-            f"design is numerically singular (rcond of X'X = {rcond:.3e})"
-        )
+        raise SingularDesignError(f"design is singular (equilibrated X'X rcond {rcond:.3e})")
 
-    beta = np.linalg.solve(R, Q.T @ y)
-    resid = y - X @ beta
-    rss = float(resid @ resid)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        beta = np.linalg.solve(R, Q.T @ y)
+        resid = y - X @ beta
+        rss = float(resid @ resid)
+        r_inv = np.linalg.solve(R, np.eye(q))
+        xtx_inv = r_inv @ r_inv.T  # numpy computes a @ a.T by syrk: exactly symmetric
     dof = n - q
     sigma2 = rss / dof
-
-    r_inv = np.linalg.solve(R, np.eye(q))
-    xtx_inv = r_inv @ r_inv.T
-    xtx_inv = 0.5 * (xtx_inv + xtx_inv.T)
+    # (X'X)^{-1} and sigma2 (X'X)^{-1}, whose entries their diagonals bound, must
+    # be finite, with a normal diagonal (a NaN makes the sum NaN)
+    diag = np.diagonal(xtx_inv).tolist()
+    if not (min(diag) >= np.finfo(np.float64).tiny and math.isfinite(sigma2 * sum(diag))):
+        raise SingularDesignError(_OUT_OF_RANGE)
 
     return OlsFit(
         beta_hat=beta,
@@ -210,14 +223,16 @@ def fit_ols(data: Dataset) -> OlsFit:
     )
 
 
-def _check_group(data: Dataset, group) -> list[int]:
+def _check_group(group, q: int) -> list[int]:
+    """The group as a list of column indices, checked non-empty, distinct
+    and each in range(q)."""
     idx = [int(j) for j in group]
     if len(idx) == 0:
         raise DimensionMismatchError("group must contain at least one column")
     if len(set(idx)) != len(idx):
         raise DimensionMismatchError("group indices must be distinct")
     for j in idx:
-        if j < 0 or j >= data.q:
+        if j < 0 or j >= q:
             raise DimensionMismatchError(f"column index {j} out of range")
     return idx
 
@@ -229,7 +244,7 @@ def correlation(data: Dataset, group) -> CorrelationMatrix:
     s_j = ||x_j - mean(x_j)||, so the correlation is the plain ratio of
     centered cross products with no sample-size denominator.
     """
-    idx = _check_group(data, group)
+    idx = _check_group(group, data.q)
     cols = data.X[:, idx]
     centered = cols - cols.mean(axis=0)
     s = np.sqrt(np.sum(centered**2, axis=0))
@@ -255,7 +270,7 @@ def standardize(data: Dataset, group) -> tuple[Dataset, np.ndarray]:
     """
     if not data.has_intercept:
         raise InvalidParameterError("standardize requires an intercepted model")
-    idx = _check_group(data, group)
+    idx = _check_group(group, data.q)
     if 0 in idx:
         raise InvalidParameterError("the intercept column cannot be standardized")
 
@@ -266,8 +281,6 @@ def standardize(data: Dataset, group) -> tuple[Dataset, np.ndarray]:
 
     pos = {j: k for k, j in enumerate(keep)}
     scales = np.sqrt(np.sum(centered[:, [pos[j] for j in idx]] ** 2, axis=0))
-    if np.any(scales <= 0.0):
-        raise ZeroVarianceError("group column has zero variance")
     for j, s in zip(idx, scales):
         centered[:, pos[j]] /= s
 

@@ -332,6 +332,8 @@ def run_paper_suite(seed: int = 0, replicates: int = 1000, n: int = 15) -> Paper
     accuracy as correlation grows, beats the average effect of an equally
     sized uncorrelated group, needs the APC arrangement, survives unequal
     variability, and the damage of strong correlation stays local."""
+    if replicates < 2:  # the checks compare variances, all 0 at one replicate
+        raise InvalidParameterError(f"the paper suite needs >= 2 replicates, got {replicates}")
     reports = tuple(
         run_case(paper_case_config(case, seed=seed, replicates=replicates, n=n))
         for case in range(1, 6)

@@ -63,10 +63,6 @@ class UniformSpec:
             )
         if not (self.sigma2 > 0.0):
             raise InvalidParameterError(f"sigma2 must be positive, got {self.sigma2}")
-        if self.denominator <= 0.0:
-            raise DegenerateCorrelationError(
-                f"equicorrelation matrix not positive definite for p={self.p}, r={self.r}"
-            )
         object.__setattr__(self, "p", int(self.p))
         object.__setattr__(self, "r", float(self.r))
         object.__setattr__(self, "sigma2", float(self.sigma2))

@@ -1,15 +1,20 @@
 """Tests for argument parsing, report rendering, exit codes and output
 determinism of the command-line interface."""
 
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupfx.cli import main, parse_args, render_report, run_analyze, run_uniform
 from groupfx.exceptions import UsageError
@@ -478,3 +483,92 @@ def test_cli_runs_without_scipy(dataset_csv, args):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert outputs[0].count("\n") > 3
+
+
+# Cells and flag values for the fuzz test below. Each option takes a
+# hostile value one time in six: columns scaled towards both ends of the
+# float range, bad cells, out-of-range or malformed parameters.
+_SCALES = (1e7, 1e-7, 1e150, 1e155, 1e200, 1e300, 1e308, 1e-155, 1e-200, 1e-300)
+_BAD_CELLS = ("", "nan", "inf", "x", "1e309")
+_BAD_NUMBERS = ("-0.1", "1", "nan", "inf", "1e-300", "1e300", "x")
+
+
+@st.composite
+def _cli_runs(draw):
+    """argv for one run of any subcommand with small inputs, and the text of
+    the CSV it reads (None for uniform and simulate)."""
+    def pick(good, bad=()):
+        hostile = bad and draw(st.integers(0, 5)) == 0
+        return draw(st.sampled_from(bad if hostile else good))
+
+    cmd = pick(("uniform", "simulate", "analyze", "clr"))
+    fmt = ["--format", pick(("csv", "json"))]
+    if cmd == "uniform":
+        r_list = ",".join(pick(("0", "0.5", "0.99"), _BAD_NUMBERS) for _ in range(3))
+        return ["uniform", "--p", pick(("2", "3", "8"), ("1", "x")), "--r-list", r_list,
+                "--sigma2", pick(("1", "0.5"), _BAD_NUMBERS)] + fmt, None
+    if cmd == "simulate":
+        which = pick((["--case", pick(("1", "3", "5"))], ["--paper-suite"],
+                      ["--w1", pick(("0.5", "0.9"), _BAD_NUMBERS),
+                       "--w2", pick(("0", "0.8"), _BAD_NUMBERS)]))
+        return ["simulate", *which, "--replicates", pick(("1", "3"), ("0", "x")),
+                "--n", pick(("12", "15"), ("0", "1", "8")),
+                "--seed", pick(("0", "7"), ("-1", str(2**70)))] + fmt, None
+
+    k, n = pick((2, 3, 4), (1,)), pick((6, 8, 12), (0, 1, 2, 3, 4, 5))
+    names = ["y"] + [f"x{j}" for j in range(1, k + 1)]
+    if pick((False,), (True,)):
+        names[draw(st.integers(0, k))] = pick(("x1", "intercept", ""))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    with np.errstate(over="ignore"):  # a 1e308 scale turns some cells into inf
+        table = rng.standard_normal((n, k + 1)) * np.array([pick((1.0,), _SCALES) for _ in names])
+    if n and pick((False,), (True,)):
+        table[:, draw(st.integers(0, k))] = table[0, 0]  # a constant column
+    cells = [[repr(float(v)) for v in row] for row in table]
+    if n and pick((False,), (True,)):
+        cells[draw(st.integers(0, n - 1))][draw(st.integers(0, k))] = pick(_BAD_CELLS)
+    text = "\n".join(",".join(row) for row in [names] + cells) + "\n"
+
+    def group():
+        members = draw(st.permutations(names[1:]))[:draw(st.integers(min(k, 2), min(k, 3)))]
+        members[-1] = pick(members[-1:], ("0", "9", "x1", "intercept"))
+        return ",".join(members)
+
+    argv = [cmd, "--csv", None, "--response", "y", "--group", group()]
+    if cmd == "analyze" or pick((False,), (True,)):  # clr takes exactly one group
+        argv += ["--group", group()]
+    if cmd == "clr":
+        argv += ["--select", pick(("min-rss", "kfold")), "--folds", pick(("2", "3", "20")),
+                 "--c-offset", pick(("0", "3", "0,1,3"), ("-1", "nan"))]
+    return argv + fmt, text
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cli_runs())
+def test_error_contract_holds_for_hostile_runs(tmp_path_factory, run):
+    # exit 0 with strict JSON, 1 with a JSON error object as the last stderr
+    # line, or 2 for a usage error; never a traceback or a numpy warning. The
+    # APC UserWarning of a weakly correlated group is not checked here.
+    argv, text = run
+    if text is not None:
+        path = tmp_path_factory.getbasetemp() / "cli_fuzz.csv"
+        path.write_text(text, encoding="utf-8")
+        argv = [str(path) if a is None else a for a in argv]
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore", UserWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a malformed flag
+            code = exc.code
+    stdout, stderr = out.buffer.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, stderr)
+    assert "Traceback" not in stderr
+    if code == 1:
+        obj = json.loads(stderr.strip().splitlines()[-1])
+        assert {"error", "message"} <= obj.keys()
+    if code == 0 and "json" in argv:
+        json.loads(stdout, parse_constant=lambda c: pytest.fail(f"{c} in JSON output"))

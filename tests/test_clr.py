@@ -8,17 +8,19 @@ import pytest
 from groupfx import (
     ClrProblem,
     Dataset,
-    OlsFit,
     RadiusTooSmallError,
     WeightVector,
     ZeroWeightError,
+    correlation,
     fit_ols,
     min_norm_point,
     solve_clr,
     solve_clr_best_offset,
     sphere_candidates,
+    variability_weights,
 )
-from conftest import mixing_dataset
+from groupfx.clr import _default_direction
+from conftest import mixing_dataset, uniform_design_dataset
 
 # Published worked example: rounded weights renormalized to the simplex.
 PAPER_W = np.array([0.3712, 0.3218, 0.3068])
@@ -230,6 +232,54 @@ class TestSolveClr:
             solve_clr_best_offset(data, [3, 4, 5], [])
 
 
+class TestDefaultDirection:
+    """The search direction when the OLS group estimate lies along w, so its
+    offset from beta_star projects to zero."""
+
+    @staticmethod
+    def projected(w, j):
+        e = np.eye(w.shape[0])[j]
+        return e - (e @ w) / (w @ w) * w
+
+    def test_ols_estimate_parallel_to_w(self):
+        # y = X (2 w) plus noise orthogonal to X: the OLS group estimate is 2 w
+        data = uniform_design_dataset(20, 3, 0.9, sds=[1.0, 2.0, 3.0], seed=4)
+        group = [0, 1, 2]
+        w = variability_weights(correlation(data, group)).weights
+        noise = np.random.default_rng(8).standard_normal(data.n)
+        noise -= data.X @ np.linalg.lstsq(data.X, noise, rcond=None)[0]
+        data = Dataset(y=data.X @ (2.0 * w) + noise, X=data.X, names=data.names)
+        sol = solve_clr(data, group, c_offset=3.0)
+        npt.assert_allclose(sol.beta_star, 2.0 * w, rtol=1e-12)
+        d = self.projected(w, 0)
+        step = np.sqrt(3.0) * d / np.linalg.norm(d)
+        npt.assert_allclose(sol.candidates, (sol.beta_star + step, sol.beta_star - step),
+                            rtol=1e-9, atol=1e-12)
+
+    def test_first_axis_along_w_falls_through_to_the_second(self):
+        # e_0 projects off w to a vector of norm ~1e-13 < 1e-12, so e_1 is taken
+        w = np.array([1.0 - 1e-13, 1e-13])
+        assert np.linalg.norm(self.projected(w, 0)) < 1e-12
+        d = _default_direction(w, 2.0 * w, 2.0 * w)
+        npt.assert_array_equal(d, self.projected(w, 1))
+        assert abs(d @ w) < 1e-15
+
+    def test_no_direction_for_a_single_weight(self):
+        w = np.array([1.0])
+        with pytest.raises(ZeroWeightError):
+            _default_direction(w, w, w)
+
+
+def test_kfold_without_columns_outside_the_group():
+    # nothing outside the group is refit, so each held-out residual is the
+    # plain residual and the k-fold score is ||y - X b||^2
+    data = uniform_design_dataset(20, 3, 0.9, beta=[1.0, 2.0, 3.0], seed=2)
+    sol = solve_clr(data, [0, 1, 2], selection="kfold", n_folds=4)
+    rss = [float(np.sum((data.y - data.X @ (sol.signs.signs * pt)) ** 2))
+           for pt in sol.candidates]
+    npt.assert_allclose(sol.diagnostics["scores"], rss, rtol=1e-12)
+
+
 class TestKfoldScores:
     """k-fold scores and offset scores against per-fold, per-candidate
     refits (:func:`kfold_oracle`)."""
@@ -273,22 +323,6 @@ class TestKfoldScores:
         data = Dataset(y=base.y, X=np.column_stack([base.X, spikes]),
                        names=base.names + ("s1", "s2"), has_intercept=True)
         assert self.check(data, [3, 4, 5], 10) > 0
-
-    def test_singular_design_with_a_supplied_fit(self, table7_like_dataset):
-        # solve_clr(fit=...) skips fit_ols's rank check: a repeated column
-        # outside the group makes every training design rank-deficient
-        base, group = table7_like_dataset, [3, 4, 5]
-        data = Dataset(y=base.y, X=np.column_stack([base.X, base.X[:, 1]]),
-                       names=base.names + ("copy",), has_intercept=True)
-        fit = fit_ols(base)
-        fit = OlsFit(beta_hat=np.append(fit.beta_hat, 0.0), sigma2_hat=fit.sigma2_hat,
-                     Q=fit.Q, R=fit.R, xtx_inv=np.pad(fit.xtx_inv, (0, 1)), dof=fit.dof,
-                     rss=fit.rss)
-        sol = solve_clr(data, group, c_offset=3.0, selection="kfold", n_folds=5, seed=9,
-                        fit=fit)
-        oracle = [kfold_oracle(data, group, sol.signs, pt, 5, 9) for pt in sol.candidates]
-        npt.assert_allclose(sol.diagnostics["scores"], [s for s, _ in oracle], rtol=1e-10)
-        assert all(d == 5 for _, d in oracle)
 
     @pytest.mark.parametrize("delta", [1e-8, 1e-6, 1e-4, 9e-4, 1e-3, 1.1e-3, 3e-3, 1e-2])
     def test_leave_one_out_row_of_leverage_near_one(self, table7_like_dataset, delta):

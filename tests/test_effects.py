@@ -364,8 +364,10 @@ class TestEstimateEffect:
         fit = fit_ols(random_dataset)
         with pytest.raises(DimensionMismatchError):
             estimate_effect(fit, [1, 2], WeightVector.average(3))
-        with pytest.raises(DimensionMismatchError):
+        with pytest.raises(DimensionMismatchError, match="column index 99 out of range"):
             estimate_effect(fit, [99], WeightVector.basis(1, 0))
+        with pytest.raises(DimensionMismatchError, match="distinct"):
+            estimate_effect(fit, [2, 2], WeightVector.average(2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_raw_weights_rejected(self, random_dataset, bad):

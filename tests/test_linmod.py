@@ -17,13 +17,16 @@ from groupfx import (
     SingularDesignError,
     WeightVector,
     ZeroVarianceError,
+    apc_arrangement,
     correlation,
     estimate_effect,
     fit_ols,
     load_csv,
     paper_case_config,
     run_case,
+    solve_clr,
     standardize,
+    variability_weights,
 )
 from conftest import centered_orthonormal_basis, equicorrelated_columns
 
@@ -60,6 +63,11 @@ class TestDatasetValidation:
         # the declared intercept column is fine
         data = Dataset.from_columns(np.ones(6), [rng.standard_normal(6)], ["x"])
         assert data.has_intercept and data.names[0] == "intercept"
+        # a column spanning -1e308..1e308 is not constant, and its range,
+        # which overflows, is never formed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Dataset(y=np.ones(3), X=np.array([[-1e308], [1e308], [0.0]]), names=("x",))
 
     def test_duplicate_names_rejected(self):
         X = np.random.default_rng(0).standard_normal((5, 3))
@@ -171,6 +179,72 @@ class TestFitOls:
                        names=tuple(f"x{j}" for j in range(8)))
         fit = fit_ols(data)
         npt.assert_allclose(X.T @ X @ fit.xtx_inv, np.eye(8), atol=1e-6)
+
+    @staticmethod
+    def scaled(data, j, factor):
+        X = data.X.copy()
+        X[:, j] *= factor
+        return Dataset(y=data.y, X=X, names=data.names, has_intercept=True)
+
+    @staticmethod
+    def effect_tests(data):
+        """t and p of every coefficient and of tau_w for the two groups."""
+        fit = fit_ols(data)
+        ests = [estimate_effect(fit, [j], WeightVector.basis(1, 0)) for j in range(data.q)]
+        for group in ([1, 2], [3, 4, 5]):
+            corr = correlation(data, group)
+            ests.append(estimate_effect(fit, group, variability_weights(corr),
+                                        apc_arrangement(corr)))
+        return np.array([(e.t_stat, e.p_value) for e in ests])
+
+    def test_column_units_do_not_decide_the_fit(self, table7_like_dataset):
+        # OLS t and p do not depend on a column's units, and neither do those
+        # of tau_w, whose weights scale with the column norms; a 1e7 factor
+        # made this design singular when rcond was taken on the raw columns
+        base = table7_like_dataset
+        want = self.effect_tests(base)
+        p_tau = solve_clr(base, [3, 4, 5], selection="kfold").diagnostics["tau_p_value"]
+        for j in range(1, base.q):
+            for k in range(-8, 9):
+                data = self.scaled(base, j, 10.0**k)
+                npt.assert_allclose(self.effect_tests(data), want, rtol=1e-9)
+                sol = solve_clr(data, [3, 4, 5], selection="kfold")
+                npt.assert_allclose(sol.diagnostics["tau_p_value"], p_tau, rtol=1e-9)
+
+    @pytest.mark.parametrize("k", [-300, -200, 200, 300])
+    def test_column_at_the_end_of_the_float_range_rejected(self, table7_like_dataset, k):
+        # (X'X)^{-1} would overflow, or underflow to a zero variance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for j in (1, 4):
+                with pytest.raises(SingularDesignError, match="floating-point range"):
+                    fit_ols(self.scaled(table7_like_dataset, j, 10.0**k))
+
+    def test_column_norm_over_the_float_range_rejected(self, table7_like_dataset):
+        # every entry is finite, but the column's norm is not
+        X = table7_like_dataset.X.copy()
+        X[:, 1] = np.linspace(1.0, 1.5, X.shape[0]) * 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = Dataset(y=table7_like_dataset.y, X=X, names=table7_like_dataset.names,
+                           has_intercept=True)
+            with pytest.raises(SingularDesignError, match="floating-point range"):
+                fit_ols(data)
+
+    def test_response_scale(self, table7_like_dataset):
+        # t and p do not depend on the response's units either, until its
+        # residual variance overflows
+        base = table7_like_dataset
+        want = self.effect_tests(base)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in (-150, 150):
+                data = Dataset(y=base.y * 10.0**k, X=base.X, names=base.names,
+                               has_intercept=True)
+                npt.assert_allclose(self.effect_tests(data), want, rtol=1e-9)
+            data = Dataset(y=base.y * 1e200, X=base.X, names=base.names, has_intercept=True)
+            with pytest.raises(SingularDesignError, match="floating-point range"):
+                fit_ols(data)
 
     def test_underdetermined_rejected(self):
         rng = np.random.default_rng(4)

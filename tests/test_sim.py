@@ -9,6 +9,7 @@ import pytest
 
 from groupfx import (
     Dataset,
+    InvalidParameterError,
     SimCaseConfig,
     SingularDesignError,
     Transform,
@@ -372,6 +373,12 @@ class TestPaperSuite:
     def test_all_checks_pass(self, suite):
         for check in suite.checks:
             assert check.passed, f"{check.name}: {check.detail}"
+
+    def test_one_replicate_rejected(self):
+        # every Monte Carlo variance of one replicate is 0, and the locality
+        # check divides by them
+        with pytest.raises(InvalidParameterError, match=">= 2 replicates"):
+            run_paper_suite(seed=0, replicates=1)
 
     def test_locality_is_exact_under_shared_seed(self, suite):
         # the mixing design spans the same column space whatever the weights,
