@@ -146,7 +146,8 @@ def _heldout_residuals(data: Dataset, group, n_folds: int, seed: int) -> np.ndar
     rank: Allen's PRESS identity, generalised from one held-out row to a
     block. A fold whose C has an eigenvalue at or below ``_DOWNDATE_MIN_EIG``
     (held-out leverage near 1, or a rank-deficient training design) is refit
-    by ``lstsq``, the only way to its minimum-norm answer. X_rest itself
+    by ``lstsq``, the only way to its minimum-norm answer, on X_rest's
+    columns scaled to a largest magnitude of 1. X_rest itself
     has full column rank: it is a column subset of an X that
     :func:`~groupfx.linmod.fit_ols` accepted.
     """
@@ -171,8 +172,11 @@ def _heldout_residuals(data: Dataset, group, n_folds: int, seed: int) -> np.ndar
             continue
         train = np.ones(data.n, dtype=bool)
         train[fold] = False
-        coef, *_ = np.linalg.lstsq(X_rest[train], Z[train], rcond=None)
-        resid[fold] = Z_H - X_rest[fold] @ coef
+        # on columns scaled to a largest magnitude of 1, so that neither
+        # lstsq's rank cutoff nor its minimum-norm choice depends on units
+        X_eq = X_rest / np.abs(X_rest).max(axis=0)
+        coef, *_ = np.linalg.lstsq(X_eq[train], Z[train], rcond=None)
+        resid[fold] = Z_H - X_eq[fold] @ coef
     return resid
 
 

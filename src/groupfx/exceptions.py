@@ -14,7 +14,8 @@ class DimensionMismatchError(GroupFxError):
 
 
 class SingularDesignError(GroupFxError):
-    """The design is numerically singular (or n <= q), or its fit overflows."""
+    """The design is numerically singular (or n <= q), or its fit or a column's
+    sum of squares overflows."""
 
 
 class ZeroVarianceError(GroupFxError):

@@ -237,16 +237,36 @@ def _check_group(group, q: int) -> list[int]:
     return idx
 
 
+def _centered_columns(data: Dataset, idx: list[int]) -> np.ndarray:
+    """Columns ``idx`` of X, centered. Their entries must lie within
+    L = sqrt(max / 2n): then the centered sums of squares and cross products
+    are at most n L^2 (a column in [-L, L] has variance at most L^2), with
+    a factor 2 to spare for roundoff.
+
+    Raises
+    ------
+    SingularDesignError
+        If a column holds an entry beyond L.
+    """
+    cols = data.X[:, idx]
+    if not np.abs(cols).max() <= math.sqrt(np.finfo(np.float64).max / (2 * data.n)):
+        bad = data.names[idx[int(np.argmax(np.abs(cols).max(axis=0)))]]
+        raise SingularDesignError(f"column {bad!r}: its scale puts its sum of squares "
+                                  "outside the floating-point range")
+    return cols - cols.mean(axis=0)
+
+
 def correlation(data: Dataset, group) -> CorrelationMatrix:
     """Pearson correlation matrix of the selected columns.
 
     The companion scales are the centered L2 norms
     s_j = ||x_j - mean(x_j)||, so the correlation is the plain ratio of
-    centered cross products with no sample-size denominator.
+    centered cross products with no sample-size denominator. A column too
+    large for its sum of squares to be finite raises
+    :class:`~groupfx.exceptions.SingularDesignError`.
     """
     idx = _check_group(group, data.q)
-    cols = data.X[:, idx]
-    centered = cols - cols.mean(axis=0)
+    centered = _centered_columns(data, idx)
     s = np.sqrt(np.sum(centered**2, axis=0))
     if np.any(s <= 0.0):
         bad = data.names[idx[int(np.argmin(s))]]
@@ -266,7 +286,9 @@ def standardize(data: Dataset, group) -> tuple[Dataset, np.ndarray]:
     intercept, which is dropped) and the group columns are additionally
     scaled to unit L2 norm. Returns the standardized dataset and the scale
     vector S of group norms, so coefficients map back as beta = S^{-1} beta'
-    on the group block while all other slopes are unchanged.
+    on the group block while all other slopes are unchanged. A column too
+    large for its sum of squares to be finite raises
+    :class:`~groupfx.exceptions.SingularDesignError`.
     """
     if not data.has_intercept:
         raise InvalidParameterError("standardize requires an intercepted model")
@@ -275,8 +297,7 @@ def standardize(data: Dataset, group) -> tuple[Dataset, np.ndarray]:
         raise InvalidParameterError("the intercept column cannot be standardized")
 
     keep = [j for j in range(data.q) if j != 0]
-    cols = data.X[:, keep]
-    centered = cols - cols.mean(axis=0)
+    centered = _centered_columns(data, keep)
     names = [data.names[j] for j in keep]
 
     pos = {j: k for k, j in enumerate(keep)}

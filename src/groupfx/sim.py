@@ -12,10 +12,13 @@ and child 1 draws all replicate noise, row by row (replicate i takes the
 i-th block of n normals). Replicate i's noise is therefore the same for
 every replicate count R > i, and the same across cases that share a seed.
 
-The cases of a suite share a seed, so each stream is drawn once: a memo of
-the last two leading blocks (the design's normals and the first noise
-block, read-only) serves every case that asks for the same seed, stream and
-shape, and later noise blocks continue from the saved generator state.
+With the design fixed, every estimated effect is a fixed linear map of the
+response, so its replicate mean and variance are exact functions of the
+noise rows' mean and sample covariance. The noise stream is reduced to these
+two statistics in one pass, and each case reads its effects' moments from
+them in closed form. The cases of a suite share their seed, so one-entry
+memos of the design's normals and of the noise statistics (read-only) serve
+all five cases: a suite draws and reduces its noise once.
 """
 
 from __future__ import annotations
@@ -144,29 +147,28 @@ class SimReport:
 
 
 class RunningMoments:
-    """Per-column count, mean and sum of squared deviations (M2) of rows fed
+    """Count, mean and co-moment (centered cross-product matrix) of rows fed
     in blocks; each block merges by the Chan-Golub-LeVeque (1983) pairwise
     formula, so the result does not depend on how rows are blocked."""
 
     def __init__(self, width: int):
         self.count = 0
         self.mean = np.zeros(width)
-        self._m2 = np.zeros(width)
+        self._m2 = np.zeros((width, width))
 
     def update(self, block: np.ndarray) -> None:
         k = block.shape[0]
         mean = block.mean(axis=0)
         dev = block - mean
-        m2 = np.square(dev, out=dev).sum(axis=0)
         total = self.count + k
         delta = mean - self.mean
         self.mean = self.mean + delta * (k / total)
-        self._m2 = self._m2 + m2 + delta * delta * (self.count * k / total)
+        self._m2 = self._m2 + dev.T @ dev + np.outer(delta, delta) * (self.count * k / total)
         self.count = total
 
     @property
-    def variance(self) -> np.ndarray:
-        """Sample variance (ddof=1); zero for fewer than two observations."""
+    def covariance(self) -> np.ndarray:
+        """Sample covariance (ddof=1); zero for fewer than two observations."""
         if self.count < 2:
             return np.zeros_like(self._m2)
         return self._m2 / (self.count - 1)
@@ -179,29 +181,29 @@ def _child_rng(seed: int, child: int) -> np.random.Generator:
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(child,))))
 
 
-@functools.lru_cache(maxsize=2)
-def _leading_normals(seed: int, child: int, shape: tuple[int, int]):
-    """The first ``shape`` block of standard normals of child stream
-    ``child`` (read-only, as it is shared), and the bit-generator state after
-    it. Two entries hold one case's design and first noise block."""
-    rng = _child_rng(seed, child)
-    z = rng.standard_normal(shape)
+@functools.lru_cache(maxsize=1)
+def _design_normals(seed: int, n: int) -> np.ndarray:
+    """The n x N_VARS standard normals of child stream 0 that the design is
+    mixed from (read-only, as it is shared)."""
+    z = _child_rng(seed, 0).standard_normal((n, N_VARS))
     z.flags.writeable = False
-    return z, rng.bit_generator.state
+    return z
 
 
-def _noise_blocks(seed: int, n: int, replicates: int):
-    """Replicate noise in blocks of at most ``_CHUNK_ELEMENTS`` normals, one
-    replicate per row; blocks after the shared first one continue its
-    stream from the saved state."""
+@functools.lru_cache(maxsize=1)
+def _noise_moments(seed: int, n: int, replicates: int):
+    """Mean and sample covariance of the ``replicates`` noise rows of child
+    stream 1, one replicate per row (read-only, as they are shared). The
+    rows are drawn and reduced in blocks of at most ``_CHUNK_ELEMENTS``
+    normals."""
+    noise = _child_rng(seed, 1)
+    moments = RunningMoments(n)
     rows = max(1, _CHUNK_ELEMENTS // n)
-    first, state = _leading_normals(seed, 1, (min(rows, replicates), n))
-    yield first
-    if replicates > rows:
-        noise = _child_rng(seed, 1)
-        noise.bit_generator.state = state
-        for lo in range(rows, replicates, rows):
-            yield noise.standard_normal((min(rows, replicates - lo), n))
+    for lo in range(0, replicates, rows):
+        moments.update(noise.standard_normal((min(rows, replicates - lo), n)))
+    mean, cov = moments.mean, moments.covariance
+    mean.flags.writeable = cov.flags.writeable = False
+    return mean, cov
 
 
 def generate_design(config: SimCaseConfig) -> Dataset:
@@ -213,7 +215,7 @@ def generate_design(config: SimCaseConfig) -> Dataset:
     dataset is directly fittable; replicate noise is added by
     :func:`run_case`.
     """
-    z, _ = _leading_normals(config.seed, 0, (config.n, N_VARS))
+    z = _design_normals(config.seed, config.n)
     w1, w2 = config.w1, config.w2
     X = np.empty((config.n, N_VARS + 1))
     X[:, 0] = 1.0
@@ -235,7 +237,8 @@ def generate_design(config: SimCaseConfig) -> Dataset:
 def run_case(config: SimCaseConfig) -> SimReport:
     """Simulate one case: fixed design, ``replicates`` response draws, and
     per-replicate estimates of the eight group effects plus every individual
-    coefficient. Reports replicate means and variances for each."""
+    coefficient. Reports replicate means and variances for each, in closed
+    form from the noise statistics of :func:`_noise_moments`."""
     design = generate_design(config)
     fit = fit_ols(design)  # raises SingularDesignError before any replicate work
 
@@ -257,20 +260,16 @@ def run_case(config: SimCaseConfig) -> SimReport:
     truths += beta.tolist()
 
     y_mean = design.X @ beta  # intercept column carries beta[0]
-    sigma = math.sqrt(config.sigma2)
     # row e maps a response vector y to effect e, through beta_hat = R^{-1} Q' y
     effect_map = weight_rows @ np.linalg.solve(fit.R, fit.Q.T)
-    moments = RunningMoments(len(_EFFECT_LABELS))
-    for z in _noise_blocks(config.seed, config.n, config.replicates):
-        # one replicate response per row: y_mean plus that replicate's noise,
-        # the same values as Generator.normal(y_mean, sigma, ...) on child 1;
-        # z may be the shared read-only block, so it is scaled into a copy
-        Y = z * sigma
-        Y += y_mean
-        moments.update(Y @ effect_map.T)
-
-    effects = tuple(map(EffectSummary, _EFFECT_LABELS, moments.mean.tolist(),
-                        moments.variance.tolist(), truths))
+    # a replicate's effects are effect_map @ (y_mean + sigma z) for its noise
+    # row z, so their replicate mean and variance follow from the noise's;
+    # the covariance is singular for replicates <= n, where roundoff can
+    # take a variance below 0
+    z_mean, z_cov = _noise_moments(config.seed, config.n, config.replicates)
+    means = effect_map @ (y_mean + math.sqrt(config.sigma2) * z_mean)
+    variances = np.maximum(config.sigma2 * ((effect_map @ z_cov) * effect_map).sum(axis=1), 0.0)
+    effects = tuple(map(EffectSummary, _EFFECT_LABELS, means.tolist(), variances.tolist(), truths))
 
     return SimReport(
         label=config.label or f"w1={config.w1},w2={config.w2}",

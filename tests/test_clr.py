@@ -313,16 +313,35 @@ class TestKfoldScores:
         data = table7_like_dataset
         self.check(data, [3, 4, 5], data.n + 4)
 
-    def test_rank_deficient_training_folds(self, table7_like_dataset):
-        # two predictors that are nonzero on one and on three rows: every
-        # fold that holds those rows out trains on a zero column
-        base = table7_like_dataset
+    @staticmethod
+    def spiked(base):
+        """base plus two predictors that are nonzero on one and on three
+        rows: every fold that holds those rows out trains on a zero column."""
         spikes = np.zeros((base.n, 2))
         spikes[4, 0] = 1.5
         spikes[[1, 7, 11], 1] = (0.5, -1.0, 2.0)
-        data = Dataset(y=base.y, X=np.column_stack([base.X, spikes]),
+        return Dataset(y=base.y, X=np.column_stack([base.X, spikes]),
                        names=base.names + ("s1", "s2"), has_intercept=True)
-        assert self.check(data, [3, 4, 5], 10) > 0
+
+    def test_rank_deficient_training_folds(self, table7_like_dataset):
+        assert self.check(self.spiked(table7_like_dataset), [3, 4, 5], 10) > 0
+
+    @pytest.mark.parametrize("k", [-8, -4, 4, 8])
+    def test_rank_deficient_folds_do_not_depend_on_column_units(self, table7_like_dataset, k):
+        # the lstsq refit of a rank-deficient fold sees any column outside the
+        # group scaled by 10^k as the same column
+        data, group = self.spiked(table7_like_dataset), [3, 4, 5]
+
+        def scores(d):
+            return [solve_clr(d, group, c_offset=offset, selection="kfold", n_folds=10,
+                              seed=9).diagnostics["scores"] for offset in self.OFFSETS]
+
+        want = scores(data)
+        for j in (j for j in range(1, data.q) if j not in group):
+            X = data.X.copy()
+            X[:, j] *= 10.0**k
+            scaled = Dataset(y=data.y, X=X, names=data.names, has_intercept=True)
+            npt.assert_allclose(scores(scaled), want, rtol=1e-12, err_msg=data.names[j])
 
     @pytest.mark.parametrize("delta", [1e-8, 1e-6, 1e-4, 9e-4, 1e-3, 1.1e-3, 3e-3, 1e-2])
     def test_leave_one_out_row_of_leverage_near_one(self, table7_like_dataset, delta):

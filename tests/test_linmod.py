@@ -290,6 +290,31 @@ class TestCorrelation:
         with pytest.raises(DimensionMismatchError):
             correlation(data, [])
 
+    @pytest.mark.filterwarnings("error")
+    def test_column_too_large_to_square_rejected(self):
+        # squaring 1e200 overflows; the range check names the column first
+        rng = np.random.default_rng(3)
+        data = Dataset.from_columns(rng.standard_normal(4),
+                                    [[1e200, 2e200, 1e200, 2e200], rng.standard_normal(4)],
+                                    ["big", "b"])
+        with pytest.raises(SingularDesignError, match="'big'.*floating-point range"):
+            correlation(data, [1, 2])
+        with pytest.raises(SingularDesignError, match="'big'.*floating-point range"):
+            standardize(data, [2])  # every non-intercept column is centered
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_admitted_column_has_finite_norm(self):
+        n = 4
+        big = np.sqrt(np.finfo(np.float64).max / (2 * n))
+        rng = np.random.default_rng(3)
+        data = Dataset.from_columns(rng.standard_normal(n),
+                                    [big * np.array([1.0, -1.0, 1.0, -1.0]),
+                                     rng.standard_normal(n)], ["big", "b"])
+        corr = correlation(data, [1, 2])
+        npt.assert_allclose(corr.column_sds[0], 2.0 * big, rtol=1e-15)
+        _, scales = standardize(data, [1, 2])
+        npt.assert_allclose(scales[0], 2.0 * big, rtol=1e-15)
+
 
 class TestStandardize:
     def test_already_standardized_column_untouched(self):

@@ -83,18 +83,35 @@ class TestRunningMoments:
         acc = RunningMoments(3)
         acc.update(x)
         npt.assert_allclose(acc.mean, x.mean(axis=0), rtol=1e-12)
-        npt.assert_allclose(acc.variance, x.var(axis=0, ddof=1), rtol=1e-12)
+        npt.assert_allclose(acc.covariance, np.cov(x, rowvar=False), rtol=1e-12)
 
     def test_merge_any_split(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((301, 3)) + 10.0
+        x[:, 2] += 0.5 * x[:, 0]  # a correlated column: off-diagonal co-moments merge too
         for cuts in ((1,), (57,), (300,), (1, 2, 150, 299)):
             acc = RunningMoments(3)
             for block in np.split(x, cuts):
                 acc.update(block)
             assert acc.count == 301
             npt.assert_allclose(acc.mean, x.mean(axis=0), rtol=1e-10)
-            npt.assert_allclose(acc.variance, x.var(axis=0, ddof=1), rtol=1e-10)
+            npt.assert_allclose(acc.covariance, np.cov(x, rowvar=False), rtol=1e-10)
+
+    def test_one_row_has_zero_covariance(self):
+        acc = RunningMoments(2)
+        acc.update(np.array([[1.0, -2.0]]))
+        npt.assert_array_equal(acc.covariance, np.zeros((2, 2)))
+
+
+@pytest.fixture
+def set_chunk(monkeypatch):
+    """Sets sim._CHUNK_ELEMENTS. The noise memo's key leaves the chunk size
+    out, so the memo is cleared with each change and after the test."""
+    def set_chunk(elements):
+        monkeypatch.setattr(sim, "_CHUNK_ELEMENTS", elements)
+        sim._noise_moments.cache_clear()
+    yield set_chunk
+    sim._noise_moments.cache_clear()
 
 
 class TestRunCase:
@@ -120,10 +137,10 @@ class TestRunCase:
             assert ea == eb
         assert a.corr_ranges == b.corr_ranges
 
-    def test_chunk_invariance(self, monkeypatch):
+    def test_chunk_invariance(self, set_chunk):
         cfg = SimCaseConfig(w1=0.7, w2=0.6, replicates=100, seed=9)
         whole = run_case(cfg)
-        monkeypatch.setattr(sim, "_CHUNK_ELEMENTS", 7 * cfg.n)
+        set_chunk(7 * cfg.n)
         chunked = run_case(cfg)
         for ea, eb in zip(whole.effects, chunked.effects):
             assert ea.label == eb.label
@@ -220,12 +237,12 @@ class TestRunCase:
         assert variances[0] >= variances[1] >= variances[2]
 
 
-def run_case_oracle(config):
-    """Reference for run_case, written the long way: the design through
-    Dataset.from_columns, one correlation call and one WeightVector per
-    group, noise from Generator.normal and block moments from
-    (block - mean) ** 2. Returns (label, mean, variance, true value) per
-    effect and the correlation ranges."""
+def oracle_plan(config):
+    """The design, effect plan, effect map and group correlations of a case,
+    written the long way: the design through Dataset.from_columns, one
+    correlation call and one WeightVector per group. The plan holds
+    (label, columns, weights, true value) per effect, and row e of the
+    effect map takes a response vector to effect e."""
     z = np.random.Generator(np.random.Philox(np.random.SeedSequence(
         config.seed, spawn_key=(0,)))).standard_normal((config.n, 10))
     w1, w2 = config.w1, config.w2
@@ -259,9 +276,17 @@ def run_case_oracle(config):
     weight_rows = np.zeros((len(plan), design.q))
     for row, (_, cols, w, _) in enumerate(plan):
         weight_rows[row, cols] = w
+    return design, plan, weight_rows @ B, corrs
 
-    y_mean = design.X @ beta
-    effect_map = weight_rows @ B
+
+def run_case_oracle(config):
+    """Reference for run_case, written the long way: the plan of
+    oracle_plan, every replicate's effects from its own response, noise
+    from Generator.normal and block moments from (block - mean) ** 2.
+    Returns (label, mean, variance, true value) per effect and the
+    correlation ranges."""
+    design, plan, effect_map, corrs = oracle_plan(config)
+    y_mean = design.X @ np.asarray(config.beta)
     noise = np.random.Generator(np.random.Philox(np.random.SeedSequence(
         config.seed, spawn_key=(1,))))
     count, mean, m2 = 0, np.zeros(len(plan)), np.zeros(len(plan))
@@ -287,53 +312,103 @@ def run_case_oracle(config):
     return effects, corr_ranges
 
 
+def extended_moments(config):
+    """Replicate means and variances of the oracle_plan effects in
+    np.longdouble (80-bit extended precision on x86): every replicate's
+    response and effects, then two-pass moments, from the documented
+    child-1 noise rows."""
+    design, _, effect_map, _ = oracle_plan(config)
+    z = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        config.seed, spawn_key=(1,)))).standard_normal((config.replicates, config.n))
+    y_mean = design.X.astype(np.longdouble) @ np.asarray(config.beta, dtype=np.longdouble)
+    sigma = np.sqrt(np.longdouble(config.sigma2))
+    effects = (y_mean + sigma * z.astype(np.longdouble)) @ effect_map.T.astype(np.longdouble)
+    mean = effects.mean(axis=0)
+    if config.replicates < 2:
+        return mean, np.zeros_like(mean)
+    return mean, ((effects - mean) ** 2).sum(axis=0) / (config.replicates - 1)
+
+
 def report_numbers(report):
     return ([(e.label, e.mean, e.variance, e.true_value) for e in report.effects],
             report.corr_ranges)
 
 
 class TestRunCaseOracle:
-    """run_case gives bit for bit the numbers of run_case_oracle."""
+    """run_case and run_case_oracle agree with extended_moments: means to
+    1e-12 of the larger of |mean| and the Monte Carlo standard error, and
+    variances to 1e-13 relative. Labels, true values and correlation
+    ranges agree exactly."""
 
     @staticmethod
-    def assert_same(config):
-        assert report_numbers(run_case(config)) == run_case_oracle(config)
+    def assert_accurate(config):
+        (engine, engine_ranges), (oracle, oracle_ranges) = (
+            report_numbers(run_case(config)), run_case_oracle(config))
+        assert [(e[0], e[3]) for e in engine] == [(e[0], e[3]) for e in oracle]
+        assert engine_ranges == oracle_ranges
+        ref_mean, ref_var = extended_moments(config)
+        scale = np.maximum(np.abs(ref_mean), np.sqrt(ref_var / config.replicates))
+        for numbers in (engine, oracle):
+            mean = np.array([e[1] for e in numbers], dtype=np.longdouble)
+            variance = np.array([e[2] for e in numbers], dtype=np.longdouble)
+            assert np.all(np.abs(mean - ref_mean) <= 1e-12 * scale)
+            assert np.all(np.abs(variance - ref_var) <= 1e-13 * ref_var)
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
     @pytest.mark.parametrize("case", [1, 2, 3, 4, 5])
     def test_paper_cases(self, case, seed):
-        self.assert_same(paper_case_config(case, seed=seed))
+        self.assert_accurate(paper_case_config(case, seed=seed))
 
     def test_custom_config(self):
-        self.assert_same(SimCaseConfig(
+        self.assert_accurate(SimCaseConfig(
             w1=0.2, w2=0.7, n=40, sigma2=2.5, replicates=500, seed=3,
             beta=(1.0, -2.0, 0.5, 3.0, -1.0, 0.0, 4.0, 2.0, -3.0, 1.5, 0.25),
             transforms=(Transform(2, scale=3.0, flip=True), Transform(4, scale=-1.5),
                         Transform(7, flip=True))))
 
-    def test_two_noise_blocks(self, monkeypatch):
+    def test_two_noise_blocks(self, set_chunk):
         cfg = paper_case_config(4, seed=3, replicates=1000)
-        monkeypatch.setattr(sim, "_CHUNK_ELEMENTS", 600 * cfg.n)
-        self.assert_same(cfg)
+        set_chunk(600 * cfg.n)
+        self.assert_accurate(cfg)
 
     def test_one_replicate(self):
-        self.assert_same(paper_case_config(2, seed=5, replicates=1))
+        self.assert_accurate(paper_case_config(2, seed=5, replicates=1))
+
+
+class TestClosedFormVariance:
+    """Each Monte Carlo variance s^2 lies within 5 of its standard errors,
+    v sqrt(2/(R-1)), of the exact variance v = sigma^2 c'(X'X)^{-1} c."""
+
+    @pytest.mark.parametrize("case", [1, 2, 3, 4, 5])
+    def test_paper_cases(self, case):
+        replicates = 1000
+        for seed in range(10):
+            config = paper_case_config(case, seed=seed, replicates=replicates)
+            design, plan, _, _ = oracle_plan(config)
+            xtx_inv = np.linalg.inv(design.X.T @ design.X)
+            report = run_case(config)
+            for label, cols, w, _ in plan:
+                exact = config.sigma2 * float(w @ xtx_inv[np.ix_(cols, cols)] @ w)
+                z = (report.effect(label).variance - exact) / (
+                    exact * np.sqrt(2.0 / (replicates - 1)))
+                assert abs(z) < 5.0, f"seed {seed} {label}: z = {z:.2f}"
 
 
 class TestSharedDraws:
-    """The suite's cases share their design and noise draws through a memo;
-    each report is still exactly that of a standalone run_case."""
+    """The suite's cases share their design and noise statistics through
+    memos; each report is still exactly that of a standalone run_case."""
 
     @staticmethod
     def standalone(config):
-        sim._leading_normals.cache_clear()
+        sim._design_normals.cache_clear()
+        sim._noise_moments.cache_clear()
         return report_numbers(run_case(config))
 
-    # one noise block, then two: the second continues from the saved state
+    # one noise block, then two merged
     @pytest.mark.parametrize("chunk_elements", [sim._CHUNK_ELEMENTS, 200 * 15])
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_suite_equals_standalone_cases(self, seed, chunk_elements, monkeypatch):
-        monkeypatch.setattr(sim, "_CHUNK_ELEMENTS", chunk_elements)
+    def test_suite_equals_standalone_cases(self, seed, chunk_elements, set_chunk):
+        set_chunk(chunk_elements)
         suite = run_paper_suite(seed=seed, replicates=300)
         for case, report in enumerate(suite.reports, start=1):
             config = paper_case_config(case, seed=seed, replicates=300)
@@ -351,13 +426,15 @@ class TestSharedDraws:
         assert got == expected
 
     def test_memo_arrays_are_read_only(self):
-        sim._leading_normals.cache_clear()
-        run_case(paper_case_config(1, seed=0, replicates=50))
-        for child, shape in ((0, (15, sim.N_VARS)), (1, (50, 15))):
-            z, _ = sim._leading_normals(0, child, shape)
+        sim._noise_moments.cache_clear()
+        run_paper_suite(seed=0, replicates=50)
+        info = sim._noise_moments.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+        z_mean, z_cov = sim._noise_moments(0, 15, 50)
+        assert z_mean.shape == (15,) and z_cov.shape == (15, 15)
+        for a in (z_mean, z_cov, sim._design_normals(0, 15)):
             with pytest.raises(ValueError):
-                z[0, 0] = 0.0
-        assert sim._leading_normals.cache_info().hits == 2
+                a[0] = 0.0
 
 
 @pytest.fixture(scope="module")
