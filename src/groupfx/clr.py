@@ -160,6 +160,9 @@ def _heldout_residuals(data: Dataset, group, n_folds: int, seed: int) -> np.ndar
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     perm = rng.permutation(data.n)
     Q, _ = np.linalg.qr(X_rest)
+    # lstsq refits run on columns scaled to a largest magnitude of 1, so that
+    # neither lstsq's rank cutoff nor its minimum-norm choice depends on units
+    X_eq = X_rest / np.abs(X_rest).max(axis=0)
     QtZ = Q.T @ Z
     eye = np.eye(len(rest))
     resid = np.empty_like(Z)
@@ -172,9 +175,6 @@ def _heldout_residuals(data: Dataset, group, n_folds: int, seed: int) -> np.ndar
             continue
         train = np.ones(data.n, dtype=bool)
         train[fold] = False
-        # on columns scaled to a largest magnitude of 1, so that neither
-        # lstsq's rank cutoff nor its minimum-norm choice depends on units
-        X_eq = X_rest / np.abs(X_rest).max(axis=0)
         coef, *_ = np.linalg.lstsq(X_eq[train], Z[train], rcond=None)
         resid[fold] = Z_H - X_eq[fold] @ coef
     return resid

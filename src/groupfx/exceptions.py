@@ -15,7 +15,7 @@ class DimensionMismatchError(GroupFxError):
 
 class SingularDesignError(GroupFxError):
     """The design is numerically singular (or n <= q), or its fit or a column's
-    sum of squares overflows."""
+    centered norm overflows."""
 
 
 class ZeroVarianceError(GroupFxError):

@@ -237,23 +237,35 @@ def _check_group(group, q: int) -> list[int]:
     return idx
 
 
-def _centered_columns(data: Dataset, idx: list[int]) -> np.ndarray:
-    """Columns ``idx`` of X, centered. Their entries must lie within
-    L = sqrt(max / 2n): then the centered sums of squares and cross products
-    are at most n L^2 (a column in [-L, L] has variance at most L^2), with
-    a factor 2 to spare for roundoff.
+def _centered_columns(data: Dataset, idx: list[int]):
+    """Columns ``idx`` of X, centered, as (u, norms, e): centered column j is
+    u_j 2^e_j and has L2 norm norms_j 2^e_j. e is 0 unless a square could
+    overflow; then 2^e_j brings column j's largest magnitude into [0.5, 1).
+    A power of 2 scales exactly (short of underflow), so either way u and
+    norms carry the bits of the centered columns and their norms.
 
     Raises
     ------
     SingularDesignError
-        If a column holds an entry beyond L.
+        If a centered column's L2 norm is beyond the floating-point range.
     """
     cols = data.X[:, idx]
-    if not np.abs(cols).max() <= math.sqrt(np.finfo(np.float64).max / (2 * data.n)):
-        bad = data.names[idx[int(np.argmax(np.abs(cols).max(axis=0)))]]
-        raise SingularDesignError(f"column {bad!r}: its scale puts its sum of squares "
-                                  "outside the floating-point range")
-    return cols - cols.mean(axis=0)
+    # centered entries are within 2 max|x|, so n of their squares sum to at
+    # most max/2, leaving a factor 2 for roundoff
+    if np.abs(cols).max() <= math.sqrt(np.finfo(np.float64).max / (8 * data.n)):
+        u = cols - cols.mean(axis=0)
+        return u, np.sqrt(np.sum(u**2, axis=0)), np.zeros(len(idx), dtype=np.int32)
+    e = np.frexp(np.abs(cols).max(axis=0))[1]
+    u = np.ldexp(cols, -e)
+    u -= u.mean(axis=0)
+    norms = np.sqrt(np.sum(u**2, axis=0))
+    # norms_j 2^e_j is finite while its exponent, norms_j's plus e_j, is <= 1024
+    over = np.frexp(norms)[1] + e > 1024
+    if over.any():
+        bad = data.names[idx[int(np.argmax(over))]]
+        raise SingularDesignError(f"column {bad!r}: its centered L2 norm is outside "
+                                  "the floating-point range")
+    return u, norms, e
 
 
 def correlation(data: Dataset, group) -> CorrelationMatrix:
@@ -261,17 +273,17 @@ def correlation(data: Dataset, group) -> CorrelationMatrix:
 
     The companion scales are the centered L2 norms
     s_j = ||x_j - mean(x_j)||, so the correlation is the plain ratio of
-    centered cross products with no sample-size denominator. A column too
-    large for its sum of squares to be finite raises
+    centered cross products with no sample-size denominator. A column whose
+    s_j is beyond the floating-point range raises
     :class:`~groupfx.exceptions.SingularDesignError`.
     """
     idx = _check_group(group, data.q)
-    centered = _centered_columns(data, idx)
-    s = np.sqrt(np.sum(centered**2, axis=0))
+    u, norms, e = _centered_columns(data, idx)
+    s = np.ldexp(norms, e)
     if np.any(s <= 0.0):
         bad = data.names[idx[int(np.argmin(s))]]
         raise ZeroVarianceError(f"column {bad!r} has zero variance")
-    R = (centered.T @ centered) / np.outer(s, s)
+    R = (u.T @ u) / np.outer(norms, norms)
     np.fill_diagonal(R, 1.0)
     R = np.clip(R, -1.0, 1.0)
     return CorrelationMatrix(
@@ -286,8 +298,8 @@ def standardize(data: Dataset, group) -> tuple[Dataset, np.ndarray]:
     intercept, which is dropped) and the group columns are additionally
     scaled to unit L2 norm. Returns the standardized dataset and the scale
     vector S of group norms, so coefficients map back as beta = S^{-1} beta'
-    on the group block while all other slopes are unchanged. A column too
-    large for its sum of squares to be finite raises
+    on the group block while all other slopes are unchanged. A predictor
+    whose centered L2 norm is beyond the floating-point range raises
     :class:`~groupfx.exceptions.SingularDesignError`.
     """
     if not data.has_intercept:
@@ -297,13 +309,13 @@ def standardize(data: Dataset, group) -> tuple[Dataset, np.ndarray]:
         raise InvalidParameterError("the intercept column cannot be standardized")
 
     keep = [j for j in range(data.q) if j != 0]
-    centered = _centered_columns(data, keep)
+    u, norms, e = _centered_columns(data, keep)
     names = [data.names[j] for j in keep]
 
-    pos = {j: k for k, j in enumerate(keep)}
-    scales = np.sqrt(np.sum(centered[:, [pos[j] for j in idx]] ** 2, axis=0))
-    for j, s in zip(idx, scales):
-        centered[:, pos[j]] /= s
+    g = [j - 1 for j in idx]  # position of column j in keep
+    scales = np.ldexp(norms[g], e[g])
+    centered = np.ldexp(u, e)
+    centered[:, g] = u[:, g] / norms[g]
 
     out = Dataset(
         y=data.y - data.y.mean(),

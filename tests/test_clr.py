@@ -34,10 +34,14 @@ PAPER_C = 13.2104
 def kfold_oracle(data, group, signs, point, n_folds, seed):
     """k-fold score of one candidate by direct refits: per fold, hold the
     group at the candidate, refit the other coefficients on the training
-    rows with lstsq and sum the held-out squared error. Returns the score
-    and the number of folds whose training design was rank-deficient."""
+    rows with lstsq and sum the held-out squared error. The refits run on
+    the other columns scaled to a largest magnitude of 1, which fixes the
+    minimum-norm refit of a rank-deficient fold whatever the columns' units.
+    Returns the score and the number of folds whose training design was
+    rank-deficient."""
     idx = list(group)
     rest = [j for j in range(data.q) if j not in idx]
+    X_rest = data.X[:, rest] / np.abs(data.X[:, rest]).max(axis=0)
     beta_g = signs.signs * point
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     perm = rng.permutation(data.n)
@@ -47,9 +51,9 @@ def kfold_oracle(data, group, signs, point, n_folds, seed):
     for fold in folds:
         train = np.setdiff1d(perm, fold)
         y_adj = data.y[train] - data.X[np.ix_(train, idx)] @ beta_g
-        coef, _, rank, _ = np.linalg.lstsq(data.X[np.ix_(train, rest)], y_adj, rcond=None)
+        coef, _, rank, _ = np.linalg.lstsq(X_rest[train], y_adj, rcond=None)
         deficient += rank < len(rest)
-        pred = data.X[np.ix_(fold, idx)] @ beta_g + data.X[np.ix_(fold, rest)] @ coef
+        pred = data.X[np.ix_(fold, idx)] @ beta_g + X_rest[fold] @ coef
         sse += float(np.sum((data.y[fold] - pred) ** 2))
     return sse, deficient
 
@@ -323,14 +327,29 @@ class TestKfoldScores:
         return Dataset(y=base.y, X=np.column_stack([base.X, spikes]),
                        names=base.names + ("s1", "s2"), has_intercept=True)
 
+    @staticmethod
+    def collinear(base):
+        """base plus a predictor equal to 2 x1 on every row but one: every
+        fold that holds that row out trains on two collinear columns, where
+        the minimum-norm refit depends on how the columns are scaled."""
+        c = 2.0 * base.X[:, 1]
+        c[4] += 1.0
+        return Dataset(y=base.y, X=np.column_stack([base.X, c]),
+                       names=base.names + ("c",), has_intercept=True)
+
     def test_rank_deficient_training_folds(self, table7_like_dataset):
         assert self.check(self.spiked(table7_like_dataset), [3, 4, 5], 10) > 0
 
+    def test_collinear_training_folds(self, table7_like_dataset):
+        assert self.check(self.collinear(table7_like_dataset), [3, 4, 5], 10) > 0
+
+    @pytest.mark.parametrize("design", ["spiked", "collinear"])
     @pytest.mark.parametrize("k", [-8, -4, 4, 8])
-    def test_rank_deficient_folds_do_not_depend_on_column_units(self, table7_like_dataset, k):
+    def test_rank_deficient_folds_do_not_depend_on_column_units(self, table7_like_dataset,
+                                                                k, design):
         # the lstsq refit of a rank-deficient fold sees any column outside the
         # group scaled by 10^k as the same column
-        data, group = self.spiked(table7_like_dataset), [3, 4, 5]
+        data, group = getattr(self, design)(table7_like_dataset), [3, 4, 5]
 
         def scores(d):
             return [solve_clr(d, group, c_offset=offset, selection="kfold", n_folds=10,

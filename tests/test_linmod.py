@@ -291,29 +291,53 @@ class TestCorrelation:
             correlation(data, [])
 
     @pytest.mark.filterwarnings("error")
-    def test_column_too_large_to_square_rejected(self):
-        # squaring 1e200 overflows; the range check names the column first
+    def test_column_too_large_to_square_is_equilibrated(self):
+        # squaring 1e200 overflows; the centered sums are taken on the column
+        # scaled by a power of 2, so it correlates as the column over 1e200
+        rng = np.random.default_rng(3)
+        y, b = rng.standard_normal(4), rng.standard_normal(4)
+        big = np.array([1.0, 2.0, 1.5, 2.5])
+        data = Dataset.from_columns(y, [1e200 * big, b], ["big", "b"])
+        unit = Dataset.from_columns(y, [big, b], ["big", "b"])
+        corr, want = correlation(data, [1, 2]), correlation(unit, [1, 2])
+        npt.assert_allclose(corr.values, want.values, rtol=1e-14)
+        npt.assert_allclose(corr.column_sds, want.column_sds * [1e200, 1.0], rtol=1e-14)
+        (std, scales), (std_unit, _) = standardize(data, [2]), standardize(unit, [2])
+        npt.assert_allclose(std.X, std_unit.X * [1e200, 1.0], rtol=1e-14)
+        npt.assert_array_equal(scales, want.column_sds[1:])
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_huge_entry_in_a_long_column(self):
+        # fit_ols accepts it and its centered sum of squares, ~1e306, is finite
+        rng = np.random.default_rng(3)
+        n = 1000
+        x = 1.0 + 1e-3 * rng.standard_normal(n)
+        x[17] = 1e153
+        data = Dataset.from_columns(rng.standard_normal(n), [x, rng.standard_normal(n)],
+                                    ["x", "b"])
+        fit_ols(data)
+        corr = correlation(data, [1, 2])
+        npt.assert_allclose(corr.column_sds[0], 1e153 * np.sqrt(1.0 - 1.0 / n), rtol=1e-14)
+        _, scales = standardize(data, [1])
+        npt.assert_array_equal(scales, corr.column_sds[:1])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("amplitude, finite", [(8e307, True), (1e308, False)])
+    def test_centered_norm_at_the_floating_point_limit(self, amplitude, finite):
+        # the centered norm is 2 * amplitude: 1.6e308 is finite, 2e308 is not
         rng = np.random.default_rng(3)
         data = Dataset.from_columns(rng.standard_normal(4),
-                                    [[1e200, 2e200, 1e200, 2e200], rng.standard_normal(4)],
-                                    ["big", "b"])
+                                    [amplitude * np.array([1.0, -1.0, 1.0, -1.0]),
+                                     rng.standard_normal(4)], ["big", "b"])
+        if finite:
+            npt.assert_allclose(correlation(data, [1, 2]).column_sds[0], 2.0 * amplitude,
+                                rtol=1e-15)
+            npt.assert_allclose(standardize(data, [1])[1], [2.0 * amplitude], rtol=1e-15)
+            return
         with pytest.raises(SingularDesignError, match="'big'.*floating-point range"):
             correlation(data, [1, 2])
         with pytest.raises(SingularDesignError, match="'big'.*floating-point range"):
             standardize(data, [2])  # every non-intercept column is centered
-
-    @pytest.mark.filterwarnings("error")
-    def test_largest_admitted_column_has_finite_norm(self):
-        n = 4
-        big = np.sqrt(np.finfo(np.float64).max / (2 * n))
-        rng = np.random.default_rng(3)
-        data = Dataset.from_columns(rng.standard_normal(n),
-                                    [big * np.array([1.0, -1.0, 1.0, -1.0]),
-                                     rng.standard_normal(n)], ["big", "b"])
-        corr = correlation(data, [1, 2])
-        npt.assert_allclose(corr.column_sds[0], 2.0 * big, rtol=1e-15)
-        _, scales = standardize(data, [1, 2])
-        npt.assert_allclose(scales[0], 2.0 * big, rtol=1e-15)
 
 
 class TestStandardize:

@@ -80,7 +80,7 @@ class TestRunningMoments:
     def test_matches_numpy(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((500, 3))
-        acc = RunningMoments(3)
+        acc = RunningMoments(np.eye(3))
         acc.update(x)
         npt.assert_allclose(acc.mean, x.mean(axis=0), rtol=1e-12)
         npt.assert_allclose(acc.covariance, np.cov(x, rowvar=False), rtol=1e-12)
@@ -90,7 +90,7 @@ class TestRunningMoments:
         x = rng.standard_normal((301, 3)) + 10.0
         x[:, 2] += 0.5 * x[:, 0]  # a correlated column: off-diagonal co-moments merge too
         for cuts in ((1,), (57,), (300,), (1, 2, 150, 299)):
-            acc = RunningMoments(3)
+            acc = RunningMoments(np.eye(3))
             for block in np.split(x, cuts):
                 acc.update(block)
             assert acc.count == 301
@@ -98,7 +98,7 @@ class TestRunningMoments:
             npt.assert_allclose(acc.covariance, np.cov(x, rowvar=False), rtol=1e-10)
 
     def test_one_row_has_zero_covariance(self):
-        acc = RunningMoments(2)
+        acc = RunningMoments(np.eye(2))
         acc.update(np.array([[1.0, -2.0]]))
         npt.assert_array_equal(acc.covariance, np.zeros((2, 2)))
 
@@ -430,9 +430,9 @@ class TestSharedDraws:
         run_paper_suite(seed=0, replicates=50)
         info = sim._noise_moments.cache_info()
         assert (info.misses, info.hits) == (1, 4)
-        z_mean, z_cov = sim._noise_moments(0, 15, 50)
-        assert z_mean.shape == (15,) and z_cov.shape == (15, 15)
-        for a in (z_mean, z_cov, sim._design_normals(0, 15)):
+        basis, z_mean, cross = sim._noise_moments(0, 15, 50)
+        assert basis.shape == (15, 11) and z_mean.shape == (15,) and cross.shape == (11, 15)
+        for a in (basis, z_mean, cross, sim._design_normals(0, 15)):
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
