@@ -129,7 +129,7 @@ def _full_beta(fit: OlsFit, group, signs: SignArrangement, point: np.ndarray) ->
     return beta
 
 
-def _heldout_residuals(data: Dataset, group, n_folds: int, seed: int) -> np.ndarray:
+def _heldout_residuals(data: Dataset, fit: OlsFit, group, n_folds: int, seed: int) -> np.ndarray:
     """Held-out residual operator [a | M] of k-fold selection.
 
     Fold f holds out rows H of a permutation drawn from ``seed`` and trains
@@ -140,7 +140,9 @@ def _heldout_residuals(data: Dataset, group, n_folds: int, seed: int) -> np.ndar
     for rank-deficient training designs too. Each row is held out once, so
     the k-fold score of b is ||a - M b||^2 (see :func:`_heldout_sse`).
 
-    All folds share one QR factorization X_rest = QR. With C = Q_T'Q_T =
+    All folds share one orthonormal basis Q of X_rest's columns, taken
+    from the fit's X = Q_X R_X: as X_rest = Q_X R_X[:, rest], Q is Q_X times
+    the Q factor of the small R_X[:, rest]. With C = Q_T'Q_T =
     I - Q_H'Q_H, the refit's prediction X_H,rest lstsq(X_T,rest, Z_T) is
     Q_H g with g = C^-1 (Q'Z - Q_H'Z_H) whenever X_T,rest has full column
     rank: Allen's PRESS identity, generalised from one held-out row to a
@@ -159,7 +161,7 @@ def _heldout_residuals(data: Dataset, group, n_folds: int, seed: int) -> np.ndar
     X_rest = data.X[:, rest]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     perm = rng.permutation(data.n)
-    Q, _ = np.linalg.qr(X_rest)
+    Q = fit.Q @ np.linalg.qr(fit.R[:, rest])[0]
     # lstsq refits run on columns scaled to a largest magnitude of 1, so that
     # neither lstsq's rank cutoff nor its minimum-norm choice depends on units
     X_eq = X_rest / np.abs(X_rest).max(axis=0)
@@ -199,7 +201,7 @@ def _offset_solver(data, group, selection, n_folds, seed, anchor):
     problem = ClrProblem(w=w, tau_hat=effect.value)
     beta_star, mns = min_norm_point(problem)
     direction = _default_direction(w.weights, signs.signs * fit.beta_hat[idx], beta_star)
-    resid = _heldout_residuals(data, idx, n_folds, seed) if selection == "kfold" else None
+    resid = _heldout_residuals(data, fit, idx, n_folds, seed) if selection == "kfold" else None
     fixed = {"tau_hat": effect.value, "tau_se": effect.std_error,
              "tau_p_value": effect.p_value, "rss_ols": fit.rss,
              "rss_beta_star": _rss(data, _full_beta(fit, idx, signs, beta_star))}

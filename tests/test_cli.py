@@ -433,8 +433,8 @@ class TestDeterminism:
         assert capsysbinary.readouterr().out == golden.read_bytes()
 
     def test_multi_block_paper_suite_matches_golden_bytes(self, capsysbinary):
-        # 20000 replicates at n = 15 are 300,000 normals per case, more than
-        # one noise block, so later blocks continue the shared first block
+        # 20000 replicates are more than one noise block of sim._CHUNK_ROWS
+        # rows, so later blocks continue the shared first block
         golden = DATA_DIR / "simulate_paper_suite_seed3_r20000.csv"
         assert main(["simulate", "--paper-suite", "--seed", "3", "--replicates", "20000"]) == 0
         assert capsysbinary.readouterr().out == golden.read_bytes()

@@ -23,7 +23,7 @@ from groupfx import (
     variability_weights,
 )
 from groupfx import sim
-from groupfx.sim import GROUPS, RunningMoments
+from groupfx.sim import GROUPS
 
 GROUP_EFFECTS = ("tau1", "tau2", "tau3", "tau4",
                  "tau1_w", "tau2_w", "tau3_w", "tau4_w")
@@ -76,39 +76,12 @@ class TestGenerateDesign:
             Transform(3, scale=0.0)
 
 
-class TestRunningMoments:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((500, 3))
-        acc = RunningMoments(np.eye(3))
-        acc.update(x)
-        npt.assert_allclose(acc.mean, x.mean(axis=0), rtol=1e-12)
-        npt.assert_allclose(acc.covariance, np.cov(x, rowvar=False), rtol=1e-12)
-
-    def test_merge_any_split(self):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((301, 3)) + 10.0
-        x[:, 2] += 0.5 * x[:, 0]  # a correlated column: off-diagonal co-moments merge too
-        for cuts in ((1,), (57,), (300,), (1, 2, 150, 299)):
-            acc = RunningMoments(np.eye(3))
-            for block in np.split(x, cuts):
-                acc.update(block)
-            assert acc.count == 301
-            npt.assert_allclose(acc.mean, x.mean(axis=0), rtol=1e-10)
-            npt.assert_allclose(acc.covariance, np.cov(x, rowvar=False), rtol=1e-10)
-
-    def test_one_row_has_zero_covariance(self):
-        acc = RunningMoments(np.eye(2))
-        acc.update(np.array([[1.0, -2.0]]))
-        npt.assert_array_equal(acc.covariance, np.zeros((2, 2)))
-
-
 @pytest.fixture
 def set_chunk(monkeypatch):
-    """Sets sim._CHUNK_ELEMENTS. The noise memo's key leaves the chunk size
+    """Sets sim._CHUNK_ROWS. The noise memo's key leaves the chunk size
     out, so the memo is cleared with each change and after the test."""
-    def set_chunk(elements):
-        monkeypatch.setattr(sim, "_CHUNK_ELEMENTS", elements)
+    def set_chunk(rows):
+        monkeypatch.setattr(sim, "_CHUNK_ROWS", rows)
         sim._noise_moments.cache_clear()
     yield set_chunk
     sim._noise_moments.cache_clear()
@@ -140,7 +113,7 @@ class TestRunCase:
     def test_chunk_invariance(self, set_chunk):
         cfg = SimCaseConfig(w1=0.7, w2=0.6, replicates=100, seed=9)
         whole = run_case(cfg)
-        set_chunk(7 * cfg.n)
+        set_chunk(7)
         chunked = run_case(cfg)
         for ea, eb in zip(whole.effects, chunked.effects):
             assert ea.label == eb.label
@@ -148,13 +121,11 @@ class TestRunCase:
             npt.assert_allclose(eb.variance, ea.variance, rtol=1e-12)
 
     def test_matches_per_replicate_lstsq(self):
-        # independent oracle: one least-squares fit per replicate, on noise
-        # rows drawn from the documented child-1 Philox stream
+        # independent oracle: one least-squares fit per replicate, on the
+        # documented noise rows
         cfg = paper_case_config(2, seed=4, replicates=30)
         design = generate_design(cfg)
-        ss = np.random.SeedSequence(cfg.seed, spawn_key=(1,))
-        noise = np.random.Generator(np.random.Philox(ss)).normal(
-            0.0, np.sqrt(cfg.sigma2), (cfg.replicates, cfg.n))
+        noise = np.sqrt(cfg.sigma2) * documented_noise(cfg)
         coefs = np.array([np.linalg.lstsq(design.X, design.y + e, rcond=None)[0]
                           for e in noise])
         report = run_case(cfg)
@@ -237,6 +208,18 @@ class TestRunCase:
         assert variances[0] >= variances[1] >= variances[2]
 
 
+def documented_noise(config):
+    """The documented replicate noise, one row per replicate: row i is U g_i,
+    for g_i row i of the R x 11 standard normals of child stream 1 and U the
+    reduced QR basis of the intercept and the child-0 design normals."""
+    def child(k):
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(
+            config.seed, spawn_key=(k,))))
+    z = child(0).standard_normal((config.n, 10))
+    basis = np.linalg.qr(np.column_stack((np.ones(config.n), z)))[0]
+    return child(1).standard_normal((config.replicates, 11)) @ basis.T
+
+
 def oracle_plan(config):
     """The design, effect plan, effect map and group correlations of a case,
     written the long way: the design through Dataset.from_columns, one
@@ -281,19 +264,18 @@ def oracle_plan(config):
 
 def run_case_oracle(config):
     """Reference for run_case, written the long way: the plan of
-    oracle_plan, every replicate's effects from its own response, noise
-    from Generator.normal and block moments from (block - mean) ** 2.
+    oracle_plan, every replicate's effects from its own response, the noise
+    of documented_noise and block moments from (block - mean) ** 2.
     Returns (label, mean, variance, true value) per effect and the
     correlation ranges."""
     design, plan, effect_map, corrs = oracle_plan(config)
     y_mean = design.X @ np.asarray(config.beta)
-    noise = np.random.Generator(np.random.Philox(np.random.SeedSequence(
-        config.seed, spawn_key=(1,))))
+    noise = np.sqrt(config.sigma2) * documented_noise(config)
     count, mean, m2 = 0, np.zeros(len(plan)), np.zeros(len(plan))
-    rows = max(1, sim._CHUNK_ELEMENTS // config.n)
+    rows = sim._CHUNK_ROWS
     for lo in range(0, config.replicates, rows):
         k = min(rows, config.replicates - lo)
-        block = noise.normal(y_mean, np.sqrt(config.sigma2), (k, config.n)) @ effect_map.T
+        block = (y_mean + noise[lo:lo + k]) @ effect_map.T
         block_mean = block.mean(axis=0)
         block_m2 = ((block - block_mean) ** 2).sum(axis=0)
         total = count + k
@@ -315,11 +297,10 @@ def run_case_oracle(config):
 def extended_moments(config):
     """Replicate means and variances of the oracle_plan effects in
     np.longdouble (80-bit extended precision on x86): every replicate's
-    response and effects, then two-pass moments, from the documented
-    child-1 noise rows."""
+    response and effects, then two-pass moments, from the noise rows of
+    documented_noise."""
     design, _, effect_map, _ = oracle_plan(config)
-    z = np.random.Generator(np.random.Philox(np.random.SeedSequence(
-        config.seed, spawn_key=(1,)))).standard_normal((config.replicates, config.n))
+    z = documented_noise(config)
     y_mean = design.X.astype(np.longdouble) @ np.asarray(config.beta, dtype=np.longdouble)
     sigma = np.sqrt(np.longdouble(config.sigma2))
     effects = (y_mean + sigma * z.astype(np.longdouble)) @ effect_map.T.astype(np.longdouble)
@@ -368,7 +349,7 @@ class TestRunCaseOracle:
 
     def test_two_noise_blocks(self, set_chunk):
         cfg = paper_case_config(4, seed=3, replicates=1000)
-        set_chunk(600 * cfg.n)
+        set_chunk(600)
         self.assert_accurate(cfg)
 
     def test_one_replicate(self):
@@ -379,19 +360,25 @@ class TestClosedFormVariance:
     """Each Monte Carlo variance s^2 lies within 5 of its standard errors,
     v sqrt(2/(R-1)), of the exact variance v = sigma^2 c'(X'X)^{-1} c."""
 
+    @staticmethod
+    def assert_within_band(config):
+        design, plan, _, _ = oracle_plan(config)
+        xtx_inv = np.linalg.inv(design.X.T @ design.X)
+        report = run_case(config)
+        for label, cols, w, _ in plan:
+            exact = config.sigma2 * float(w @ xtx_inv[np.ix_(cols, cols)] @ w)
+            z = (report.effect(label).variance - exact) / (
+                exact * np.sqrt(2.0 / (config.replicates - 1)))
+            assert abs(z) < 5.0, f"seed {config.seed} {label}: z = {z:.2f}"
+
     @pytest.mark.parametrize("case", [1, 2, 3, 4, 5])
     def test_paper_cases(self, case):
-        replicates = 1000
         for seed in range(10):
-            config = paper_case_config(case, seed=seed, replicates=replicates)
-            design, plan, _, _ = oracle_plan(config)
-            xtx_inv = np.linalg.inv(design.X.T @ design.X)
-            report = run_case(config)
-            for label, cols, w, _ in plan:
-                exact = config.sigma2 * float(w @ xtx_inv[np.ix_(cols, cols)] @ w)
-                z = (report.effect(label).variance - exact) / (
-                    exact * np.sqrt(2.0 / (replicates - 1)))
-                assert abs(z) < 5.0, f"seed {seed} {label}: z = {z:.2f}"
+            self.assert_within_band(paper_case_config(case, seed=seed, replicates=1000))
+
+    def test_lone_case_at_large_n(self):
+        # the noise statistics are 11-wide whatever n is
+        self.assert_within_band(paper_case_config(2, seed=1, replicates=1000, n=20_000))
 
 
 class TestSharedDraws:
@@ -401,14 +388,15 @@ class TestSharedDraws:
     @staticmethod
     def standalone(config):
         sim._design_normals.cache_clear()
+        sim._span_basis.cache_clear()
         sim._noise_moments.cache_clear()
         return report_numbers(run_case(config))
 
-    # one noise block, then two merged
-    @pytest.mark.parametrize("chunk_elements", [sim._CHUNK_ELEMENTS, 200 * 15])
+    @pytest.mark.parametrize("chunk_rows", [sim._CHUNK_ROWS, 200],
+                             ids=["one_block", "two_blocks"])
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_suite_equals_standalone_cases(self, seed, chunk_elements, set_chunk):
-        set_chunk(chunk_elements)
+    def test_suite_equals_standalone_cases(self, seed, chunk_rows, set_chunk):
+        set_chunk(chunk_rows)
         suite = run_paper_suite(seed=seed, replicates=300)
         for case, report in enumerate(suite.reports, start=1):
             config = paper_case_config(case, seed=seed, replicates=300)
@@ -425,14 +413,24 @@ class TestSharedDraws:
             got.append(report_numbers(run_case(config)))
         assert got == expected
 
+    def test_noise_moments_shared_across_n(self):
+        sim._noise_moments.cache_clear()
+        run_case(paper_case_config(2, seed=5, replicates=200, n=15))
+        run_case(paper_case_config(2, seed=5, replicates=200, n=40))
+        info = sim._noise_moments.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     def test_memo_arrays_are_read_only(self):
+        sim._span_basis.cache_clear()
         sim._noise_moments.cache_clear()
         run_paper_suite(seed=0, replicates=50)
-        info = sim._noise_moments.cache_info()
-        assert (info.misses, info.hits) == (1, 4)
-        basis, z_mean, cross = sim._noise_moments(0, 15, 50)
-        assert basis.shape == (15, 11) and z_mean.shape == (15,) and cross.shape == (11, 15)
-        for a in (basis, z_mean, cross, sim._design_normals(0, 15)):
+        for memo in (sim._span_basis, sim._noise_moments):
+            info = memo.cache_info()
+            assert (info.misses, info.hits) == (1, 4)
+        basis = sim._span_basis(0, 15)
+        g_mean, g_cov = sim._noise_moments(0, 50)
+        assert basis.shape == (15, 11) and g_mean.shape == (11,) and g_cov.shape == (11, 11)
+        for a in (basis, g_mean, g_cov, sim._design_normals(0, 15)):
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
