@@ -278,6 +278,14 @@ def correlation(data: Dataset, group) -> CorrelationMatrix:
     :class:`~groupfx.exceptions.SingularDesignError`.
     """
     idx = _check_group(group, data.q)
+    return CorrelationMatrix(*_correlation_arrays(data, idx),
+                             names=tuple(data.names[j] for j in idx))
+
+
+def _correlation_arrays(data: Dataset, idx: list[int]):
+    """The arrays of :func:`correlation` for checked column indices, as
+    (R, s): R has a unit diagonal, entries in [-1, 1], and is exactly
+    symmetric (numpy forms u'u by syrk), so CorrelationMatrix keeps its bits."""
     u, norms, e = _centered_columns(data, idx)
     s = np.ldexp(norms, e)
     if np.any(s <= 0.0):
@@ -285,10 +293,7 @@ def correlation(data: Dataset, group) -> CorrelationMatrix:
         raise ZeroVarianceError(f"column {bad!r} has zero variance")
     R = (u.T @ u) / np.outer(norms, norms)
     np.fill_diagonal(R, 1.0)
-    R = np.clip(R, -1.0, 1.0)
-    return CorrelationMatrix(
-        values=R, column_sds=s, names=tuple(data.names[j] for j in idx)
-    )
+    return np.clip(R, -1.0, 1.0), s
 
 
 def standardize(data: Dataset, group) -> tuple[Dataset, np.ndarray]:

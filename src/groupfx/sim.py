@@ -19,18 +19,26 @@ the response, so its replicate mean and variance are m'y_mean + sigma a'gbar
 and sigma^2 a'S a, for a = U'm and gbar and S the mean and sample covariance
 of the rows of g. These are 11 and 11 x 11 numbers whatever n is, memoised
 for all five cases of a suite.
+
+Each map m is a row of the effect plan (weights over the 11 coefficients)
+times R^{-1} Q' of the fit. The plan's template and index tables are built
+once at import, so a case writes only its ten variability weights. It reads
+the column scales and the group correlation ranges (one gather, two segment
+reductions) from the correlation arrays, with no second validation pass.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import InvalidParameterError
-from .linmod import INTERCEPT_NAME, Dataset, correlation, fit_ols
+from .linmod import INTERCEPT_NAME, Dataset, _correlation_arrays, fit_ols
 
 DEFAULT_BETA = (5.0, 0.0, 0.0, 1.0, 2.0, 3.0, 1.0, 1.0, 1.0, 2.0, 3.0)
 
@@ -49,19 +57,72 @@ _EFFECT_LABELS = tuple(
 ) + tuple(f"beta{j}" for j in range(N_VARS + 1))
 
 
-def _group_index(variables):
-    """A group's X columns (variable j is X column j), then its columns and
-    its off-diagonal entries in the correlation of variables 1..N_VARS."""
-    v = [j - 1 for j in variables]
-    rows, cols = zip(*((a, b) for a in v for b in v if a != b))
-    return list(variables), v, (list(rows), list(cols))
+_VARIABLE_COLUMNS = list(range(1, N_VARS + 1))  # variable j is X column j
 
 
-_GROUP_INDEX = {g: _group_index(v) for g, v in GROUPS.items()}
+def _effect_plan():
+    """Index tables of the effect plan, built once from GROUPS:
+
+    - the weight rows, one per effect label over the 11 coefficients, with
+      every average row and coefficient row filled in;
+    - where the variability weights go, group by group: their rows, their X
+      columns and the group number of each, and each group's slice of them
+      with its average weights;
+    - each group's X columns, padded to the largest group size with column
+      0 (the intercept);
+    - every group's off-diagonal positions in the correlation of the
+      variables, and the start of each group's segment of them.
+    """
+    template = np.zeros((len(_EFFECT_LABELS), N_VARS + 1))
+    template[2 * len(GROUPS):] = np.eye(N_VARS + 1)
+    width = max(map(len, GROUPS.values()))
+    var_rows, var_cols, var_groups, parts, padded = [], [], [], [], []
+    off_rows, off_cols, off_starts = [], [], []
+    for g, variables in enumerate(GROUPS.values()):
+        cols = list(variables)
+        w_avg = np.full(len(cols), 1.0 / len(cols))
+        template[2 * g, cols] = w_avg
+        parts.append((slice(len(var_cols), len(var_cols) + len(cols)), w_avg))
+        var_rows += [2 * g + 1] * len(cols)
+        var_cols += cols
+        var_groups += [g] * len(cols)
+        padded.append(cols + [0] * (width - len(cols)))
+        off_starts.append(len(off_rows))
+        v = [j - 1 for j in cols]
+        pairs = [(a, b) for a in v for b in v if a != b]
+        off_rows += [a for a, _ in pairs]
+        off_cols += [b for _, b in pairs]
+    template.flags.writeable = False  # run_case writes to a copy
+    return (template, np.array(var_rows), np.array(var_cols), np.array(var_groups),
+            tuple(parts), np.array(padded), (np.array(off_rows), np.array(off_cols)),
+            np.array(off_starts))
+
+
+(_WEIGHT_TEMPLATE, _VAR_ROWS, _VAR_COLS, _VAR_GROUPS, _GROUP_PARTS, _PADDED_COLUMNS,
+ _OFF_DIAGONAL, _OFF_STARTS) = _effect_plan()
 
 # Noise is drawn and reduced in blocks of at most this many rows, which
 # bounds memory for any replicate count; chunking does not change the draw.
 _CHUNK_ROWS = 1 << 14
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integral value raises, naming
+    the field."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def _finite(name: str, value) -> float:
+    """``value`` as a float; a bool, a non-real or a non-finite value
+    raises, naming the field."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise InvalidParameterError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,10 +135,12 @@ class Transform:
     flip: bool = False
 
     def __post_init__(self):
-        if not 1 <= self.index <= N_VARS:
-            raise InvalidParameterError(f"variable index must be 1..{N_VARS}, got {self.index}")
-        if self.scale == 0.0:
+        index = _integer("index", self.index)
+        if not 1 <= index <= N_VARS:
+            raise InvalidParameterError(f"variable index must be 1..{N_VARS}, got {index}")
+        if _finite("scale", self.scale) == 0.0:
             raise InvalidParameterError("scale factor must be nonzero")
+        object.__setattr__(self, "index", index)
 
 
 @dataclass(frozen=True)
@@ -97,20 +160,34 @@ class SimCaseConfig:
     label: str = ""
 
     def __post_init__(self):
-        if not (0.0 <= self.w1 <= 1.0 and 0.0 <= self.w2 <= 1.0):
-            raise InvalidParameterError("mixing weights must lie in [0, 1]")
-        if len(self.beta) != N_VARS + 1:
+        for name in ("w1", "w2"):
+            if not 0.0 <= _finite(name, getattr(self, name)) <= 1.0:
+                raise InvalidParameterError(f"mixing weight {name} must lie in [0, 1], "
+                                            f"got {getattr(self, name)!r}")
+        try:
+            beta = tuple(map(float, self.beta))
+        except (TypeError, ValueError):
+            raise InvalidParameterError(
+                f"beta must be a sequence of numbers, got {self.beta!r}") from None
+        if len(beta) != N_VARS + 1:
             raise InvalidParameterError(f"beta must have {N_VARS + 1} entries (intercept first)")
-        if self.replicates < 1:
+        if not all(map(math.isfinite, beta)):
+            raise InvalidParameterError(f"beta entries must be finite, got {beta!r}")
+        replicates, n, seed = (_integer(k, getattr(self, k)) for k in ("replicates", "n", "seed"))
+        if replicates < 1:
             raise InvalidParameterError("at least one replicate required")
-        if self.n < 1:
+        if n < 1:
             raise InvalidParameterError("sample size n must be >= 1")
-        if self.seed < 0:
+        if seed < 0:
             raise InvalidParameterError("seed must be a nonnegative integer")
-        if self.sigma2 < 0.0:
+        if _finite("sigma2", self.sigma2) < 0.0:
             raise InvalidParameterError("sigma2 must be nonnegative")
-        object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-        object.__setattr__(self, "transforms", tuple(self.transforms))
+        transforms = tuple(self.transforms)
+        if not all(isinstance(tr, Transform) for tr in transforms):
+            raise InvalidParameterError("transforms must be Transform instances")
+        for name, value in (("replicates", replicates), ("n", n), ("seed", seed),
+                            ("beta", beta), ("transforms", transforms)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -223,21 +300,23 @@ def run_case(config: SimCaseConfig) -> SimReport:
     fit = fit_ols(design)  # raises SingularDesignError before any replicate work
 
     beta = np.asarray(config.beta)
-    corr = correlation(design, range(1, N_VARS + 1))
-    weight_rows = np.zeros((len(_EFFECT_LABELS), N_VARS + 1))
-    weight_rows[2 * len(GROUPS):] = np.eye(N_VARS + 1)
+    corr, sds = _correlation_arrays(design, _VARIABLE_COLUMNS)
+    s = np.append(0.0, sds)  # by X column: the intercept's 0 pads the groups
+    # each group's sum of s_j, added left to right as s.sum() does on so few
+    # entries (np.add.reduceat does not)
+    sums = functools.reduce(np.add, s[_PADDED_COLUMNS].T)
+    w_var = s[_VAR_COLS] / sums[_VAR_GROUPS]  # variability_weights per group
+    weight_rows = _WEIGHT_TEMPLATE.copy()
+    weight_rows[_VAR_ROWS, _VAR_COLS] = w_var
+    # eight small dots, not one gemv, keep the bits of w @ beta[cols]
+    group_beta = beta[_VAR_COLS]
     truths = []
-    corr_ranges = {}
-    for row, (gname, (cols, v, off_diagonal)) in enumerate(_GROUP_INDEX.items()):
-        s = corr.column_sds[v]
-        w_avg = np.full(len(cols), 1.0 / len(cols))
-        w_var = s / s.sum()  # variability_weights of the group
-        weight_rows[2 * row, cols] = w_avg
-        weight_rows[2 * row + 1, cols] = w_var
-        truths += [float(w_avg @ beta[cols]), float(w_var @ beta[cols])]
-        off = corr.values[off_diagonal]
-        corr_ranges[gname] = (float(off.min()), float(off.max()))
+    for part, w_avg in _GROUP_PARTS:
+        truths += [float(w_avg @ group_beta[part]), float(w_var[part] @ group_beta[part])]
     truths += beta.tolist()
+    off = corr[_OFF_DIAGONAL]
+    corr_ranges = dict(zip(GROUPS, zip(np.minimum.reduceat(off, _OFF_STARTS).tolist(),
+                                       np.maximum.reduceat(off, _OFF_STARTS).tolist())))
 
     y_mean = design.X @ beta  # intercept column carries beta[0]
     # row e maps a response vector y to effect e, through beta_hat = R^{-1} Q' y
@@ -255,6 +334,16 @@ def run_case(config: SimCaseConfig) -> SimReport:
                      corr_ranges=corr_ranges)
 
 
+# Mixing weights and transforms of the five canonical cases.
+_PAPER_CASES = {
+    1: ((0.3, 0.4), ()),
+    2: ((0.90, 0.95), ()),
+    3: ((0.999, 0.999), ()),
+    4: ((0.99, 0.99), (Transform(2, scale=2.0), Transform(5, scale=2.0))),
+    5: ((0.90, 0.90), (Transform(2, flip=True), Transform(5, flip=True))),
+}
+
+
 def paper_case_config(case: int, seed: int = 0, replicates: int = 1000,
                       n: int = 15) -> SimCaseConfig:
     """Configuration of one of the five canonical cases.
@@ -263,16 +352,10 @@ def paper_case_config(case: int, seed: int = 0, replicates: int = 1000,
     (0.999, 0.999); 4: (0.99, 0.99) with x2 and x5 doubled; 5: (0.90, 0.90)
     with the signs of x2 and x5 flipped.
     """
-    settings = {
-        1: ((0.3, 0.4), ()),
-        2: ((0.90, 0.95), ()),
-        3: ((0.999, 0.999), ()),
-        4: ((0.99, 0.99), (Transform(2, scale=2.0), Transform(5, scale=2.0))),
-        5: ((0.90, 0.90), (Transform(2, flip=True), Transform(5, flip=True))),
-    }
-    if case not in settings:
+    case = _integer("case", case)
+    if case not in _PAPER_CASES:
         raise InvalidParameterError(f"case must be 1..5, got {case}")
-    (w1, w2), transforms = settings[case]
+    (w1, w2), transforms = _PAPER_CASES[case]
     return SimCaseConfig(
         w1=w1, w2=w2, n=n, replicates=replicates, seed=seed,
         transforms=transforms, label=f"case{case}",
@@ -312,10 +395,10 @@ def run_paper_suite(seed: int = 0, replicates: int = 1000, n: int = 15) -> Paper
         run_case(paper_case_config(case, seed=seed, replicates=replicates, n=n))
         for case in range(1, 6)
     )
-    by_label = {r.label: r for r in reports}
+    variances = {r.label: {e.label: e.variance for e in r.effects} for r in reports}
 
     def var(case: str, effect: str) -> float:
-        return by_label[case].effect(effect).variance
+        return variances[case][effect]
 
     checks = []
 

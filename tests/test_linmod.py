@@ -290,6 +290,25 @@ class TestCorrelation:
         with pytest.raises(DimensionMismatchError):
             correlation(data, [])
 
+    @pytest.mark.parametrize("seed, n, scale", [(0, 15, 1.0), (1, 40, 1e-3), (2, 300, 1.0),
+                                                 (3, 12, 1e200)])
+    def test_arrays_keep_their_bits_in_the_matrix(self, seed, n, scale):
+        # run_case reads the arrays of _correlation_arrays in place of
+        # correlation(); CorrelationMatrix symmetrizes, which must change no
+        # bit, so R comes out exactly symmetric
+        rng = np.random.default_rng(seed)
+        cols = rng.standard_normal((n, 10)) @ rng.standard_normal((10, 10))
+        cols[:, 3] *= scale
+        data = Dataset.from_columns(rng.standard_normal(n), list(cols.T),
+                                    [f"x{j}" for j in range(1, 11)])
+        idx = list(range(1, 11))
+        R, s = groupfx.linmod._correlation_arrays(data, idx)
+        corr = correlation(data, idx)
+        assert R.tobytes() == R.T.copy().tobytes()
+        assert corr.values.tobytes() == R.tobytes()
+        assert corr.column_sds.tobytes() == s.tobytes()
+        assert corr.names == tuple(f"x{j}" for j in range(1, 11))
+
     @pytest.mark.filterwarnings("error")
     def test_column_too_large_to_square_is_equilibrated(self):
         # squaring 1e200 overflows; the centered sums are taken on the column
@@ -645,7 +664,8 @@ def test_load_csv_matches_row_by_row_parse(tmp_path_factory, text):
         assert str(exc.value) == want
         return
     y, names, X = want
-    if any(np.ptp(X[:, j]) == 0.0 for j in range(X.shape[1])):
+    # max == min, not ptp == 0: ptp of 1.8e308 and -1e292 overflows with a RuntimeWarning
+    if np.any(X.max(axis=0) == X.min(axis=0)):
         with pytest.raises(ZeroVarianceError):
             load_csv(path, "y")
         return

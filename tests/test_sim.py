@@ -75,6 +75,48 @@ class TestGenerateDesign:
         with pytest.raises(ValueError):
             Transform(3, scale=0.0)
 
+    @pytest.mark.parametrize("field, make", [
+        pytest.param("sigma2", lambda: SimCaseConfig(w1=0.5, w2=0.5, sigma2=float("nan")),
+                     id="sigma2-nan"),
+        pytest.param("sigma2", lambda: SimCaseConfig(w1=0.5, w2=0.5, sigma2=float("inf")),
+                     id="sigma2-inf"),
+        pytest.param("w1", lambda: SimCaseConfig(w1=float("nan"), w2=0.5), id="w1-nan"),
+        pytest.param("w2", lambda: SimCaseConfig(w1=0.5, w2=True), id="w2-bool"),
+        pytest.param("beta", lambda: SimCaseConfig(w1=0.5, w2=0.5,
+                                                   beta=(1.0,) * 10 + (float("inf"),)),
+                     id="beta-inf"),
+        pytest.param("beta", lambda: SimCaseConfig(w1=0.5, w2=0.5, beta=(float("nan"),) * 11),
+                     id="beta-nan"),
+        pytest.param("n", lambda: SimCaseConfig(w1=0.5, w2=0.5, n=15.0), id="n-float"),
+        pytest.param("n", lambda: SimCaseConfig(w1=0.5, w2=0.5, n=True), id="n-bool"),
+        pytest.param("replicates", lambda: SimCaseConfig(w1=0.5, w2=0.5, replicates=2.5),
+                     id="replicates-float"),
+        pytest.param("seed", lambda: SimCaseConfig(w1=0.5, w2=0.5, seed=np.float64(3.0)),
+                     id="seed-numpy-float"),
+        pytest.param("seed", lambda: SimCaseConfig(w1=0.5, w2=0.5, seed=False),
+                     id="seed-bool"),
+        pytest.param("transforms", lambda: SimCaseConfig(w1=0.5, w2=0.5,
+                                                         transforms=((2, 2.0),)),
+                     id="transforms-tuple"),
+        pytest.param("scale", lambda: Transform(2, scale=float("inf")), id="scale-inf"),
+        pytest.param("scale", lambda: Transform(2, scale=float("nan")), id="scale-nan"),
+        pytest.param("index", lambda: Transform(2.0), id="index-float"),
+        pytest.param("case", lambda: paper_case_config(True), id="case-bool"),
+        pytest.param("case", lambda: paper_case_config(2.0), id="case-float"),
+    ])
+    def test_bad_field_is_named(self, field, make):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError, match=field):
+                make()
+
+    def test_numpy_integers_are_accepted_as_ints(self):
+        cfg = paper_case_config(np.int64(2), seed=np.int64(4), replicates=np.int32(50),
+                                n=np.int16(15))
+        assert cfg == paper_case_config(2, seed=4, replicates=50, n=15)
+        assert cfg.label == "case2"
+        assert all(type(v) is int for v in (cfg.n, cfg.replicates, cfg.seed))
+
 
 @pytest.fixture
 def set_chunk(monkeypatch):
@@ -346,6 +388,19 @@ class TestRunCaseOracle:
             beta=(1.0, -2.0, 0.5, 3.0, -1.0, 0.0, 4.0, 2.0, -3.0, 1.5, 0.25),
             transforms=(Transform(2, scale=3.0, flip=True), Transform(4, scale=-1.5),
                         Transform(7, flip=True))))
+
+    @pytest.mark.parametrize("n", [12, 40, 300])
+    @pytest.mark.parametrize("case", [1, 2, 3, 4, 5])
+    def test_sample_sizes(self, case, n):
+        self.assert_accurate(paper_case_config(case, seed=11, n=n))
+
+    def test_transformed_three_member_groups(self):
+        # scale and flip inside both three-member groups move their
+        # variability weights and correlation signs
+        self.assert_accurate(SimCaseConfig(
+            w1=0.85, w2=0.9, n=25, sigma2=0.7, replicates=400, seed=8,
+            transforms=(Transform(3, scale=0.25, flip=True), Transform(5, scale=6.0),
+                        Transform(9, scale=3.0, flip=True), Transform(10, flip=True))))
 
     def test_two_noise_blocks(self, set_chunk):
         cfg = paper_case_config(4, seed=3, replicates=1000)
