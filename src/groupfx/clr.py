@@ -22,8 +22,9 @@ from .effects import (
     estimate_effect,
     variability_weights,
 )
-from .exceptions import InvalidParameterError, RadiusTooSmallError, ZeroWeightError
-from .linmod import Dataset, OlsFit, correlation, fit_ols
+from .exceptions import (InvalidParameterError, RadiusTooSmallError, ZeroWeightError, _finite,
+                         _integer, _sequence, _vector)
+from .linmod import Dataset, OlsFit, _check_group, correlation, fit_ols
 
 _MEMBERSHIP_TOL = 1e-8
 # Smallest eigenvalue of Q_T'Q_T for which a k-fold refit is downdated from
@@ -40,8 +41,7 @@ class ClrProblem:
     tau_hat: float
 
     def __post_init__(self):
-        if not np.isfinite(self.tau_hat):
-            raise InvalidParameterError("tau_hat must be finite")
+        object.__setattr__(self, "tau_hat", _finite("tau_hat", self.tau_hat))
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,12 @@ def sphere_candidates(
     c = min_norm_sq the two points coincide with beta_star.
     """
     beta_star, mns = min_norm_point(problem)
-    if c < mns - _MEMBERSHIP_TOL * (1.0 + abs(mns)):
+    if _finite("c", c) < mns - _MEMBERSHIP_TOL * (1.0 + abs(mns)):
         raise RadiusTooSmallError(
             f"squared radius {c} is below the minimum-norm value {mns}"
         )
     w = problem.w.weights
-    d = np.asarray(direction, dtype=np.float64).reshape(-1)
+    d = _vector("direction", direction)
     if d.shape[0] != w.shape[0]:
         raise InvalidParameterError("direction must have the group's dimension")
     d = d - (d @ w) / (w @ w) * w
@@ -193,7 +193,7 @@ def _offset_solver(data, group, selection, n_folds, seed, anchor):
     fit, group geometry, search direction, k-fold operator) and return the
     function that finishes a solve at a given c_offset."""
     fit = fit_ols(data)
-    idx = [int(j) for j in group]
+    idx = _check_group(group, data.q)
     corr = correlation(data, idx)
     signs = apc_arrangement(corr, anchor)
     w = variability_weights(corr)
@@ -207,10 +207,7 @@ def _offset_solver(data, group, selection, n_folds, seed, anchor):
              "rss_beta_star": _rss(data, _full_beta(fit, idx, signs, beta_star))}
 
     def solve_at(c_offset: float) -> ClrSolution:
-        if c_offset == 0.0:
-            candidates = (beta_star.copy(), beta_star.copy())
-        else:
-            candidates = sphere_candidates(problem, mns + c_offset, direction)
+        candidates = sphere_candidates(problem, mns + c_offset, direction)
         betas = [_full_beta(fit, idx, signs, pt) for pt in candidates]
         scores = tuple(_rss(data, b) if resid is None else _heldout_sse(resid, b[idx])
                        for b in betas)
@@ -252,9 +249,11 @@ def solve_clr(
     """
     if selection not in ("min-rss", "kfold"):
         raise InvalidParameterError(f"unknown selection strategy {selection!r}")
-    if selection == "kfold" and n_folds < 2:
+    if _integer("n_folds", n_folds) < 2 and selection == "kfold":
         raise InvalidParameterError(f"kfold selection needs n_folds >= 2, got {n_folds}")
-    if c_offset < 0.0:
+    if _integer("seed", seed) < 0:
+        raise InvalidParameterError(f"seed must be a nonnegative integer, got {seed}")
+    if _finite("c_offset", c_offset) < 0.0:
         raise RadiusTooSmallError("c_offset must be nonnegative")
     slot = _shared_solver.get() or [None]
     if slot[0] is None:
@@ -281,7 +280,7 @@ def solve_clr_best_offset(
     the k-fold operator, and the calls for the other offsets reuse them.
     Per-offset scores land in the diagnostics.
     """
-    offsets = [float(o) for o in offsets]
+    offsets = [_finite("c_offset", o) for o in _sequence("offsets", offsets)]
     if not offsets:
         raise RadiusTooSmallError("at least one c_offset is required")
     token = _shared_solver.set([None])

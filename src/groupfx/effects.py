@@ -13,6 +13,7 @@ vectors s.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -23,6 +24,9 @@ from .exceptions import (
     DimensionMismatchError,
     GroupTooLargeError,
     InvalidParameterError,
+    _finite,
+    _integer,
+    _vector,
 )
 from .linmod import CorrelationMatrix, OlsFit, _check_group
 
@@ -40,14 +44,6 @@ _SIGN_BLOCK = 1 << 14
 _WEIGHT_TOL = 1e-10
 
 
-def _weight_array(w) -> np.ndarray:
-    """The weights as a flat float64 array, checked non-empty and finite."""
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    if w.size == 0 or not np.isfinite(w).all():
-        raise DimensionMismatchError("weights must be a non-empty finite vector")
-    return w
-
-
 @dataclass(frozen=True)
 class WeightVector:
     """Simplex effect weights: nonnegative and summing to 1 (proper
@@ -56,7 +52,7 @@ class WeightVector:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _weight_array(self.weights)
+        w = _vector("weights", self.weights)
         if w.min() < -_WEIGHT_TOL or abs(w.sum() - 1.0) > _WEIGHT_TOL:
             raise InvalidParameterError("simplex weights must be nonnegative and sum to 1")
         object.__setattr__(self, "weights", w)
@@ -84,7 +80,7 @@ class SignArrangement:
     anchor: int = 0
 
     def __post_init__(self):
-        s = np.asarray(self.signs, dtype=np.float64).reshape(-1)
+        s = _vector("signs", self.signs)
         if not (np.abs(s) == 1.0).all():
             raise InvalidParameterError("signs must be +1 or -1")
         if s[0] != 1.0:
@@ -173,10 +169,10 @@ def t_sf_two_sided(t: float, dof: int) -> float:
     up to 10^4; beyond, it grows like dof * eps, because x is rounded next
     to 1 (9e-11 at dof 5e6).
     """
-    if not 0 < dof < math.inf:
+    if _finite("dof", dof) <= 0.0:
         raise InvalidParameterError("degrees of freedom must be positive and finite")
-    if math.isnan(t):
-        raise InvalidParameterError("t statistic is NaN")
+    if not isinstance(t, numbers.Real) or math.isnan(t):
+        raise InvalidParameterError(f"t must be a real number other than NaN, got {t!r}")
     t2 = t * t
     if t2 == 0.0:
         return 1.0
@@ -204,7 +200,7 @@ def _worst_correlations(corr: CorrelationMatrix) -> np.ndarray:
 def check_apc_condition(corr: CorrelationMatrix, anchor: int = 0) -> bool:
     """True when every other variable's |correlation| with the anchor exceeds
     sqrt(2)/2, which guarantees an APC arrangement exists."""
-    p = corr.p
+    p, anchor = corr.p, _integer("anchor", anchor)
     if anchor < 0 or anchor >= p:
         raise DimensionMismatchError(f"anchor {anchor} out of range for p={p}")
     return bool(_worst_correlations(corr)[anchor] > APC_THRESHOLD)
@@ -230,7 +226,7 @@ def apc_arrangement(corr: CorrelationMatrix, anchor: int | None = None) -> SignA
         chosen = int(np.argmax(ok)) if ok.any() else int(np.argmax(scores))
         failure = "APC condition fails for every anchor"
     else:
-        chosen = int(anchor)
+        chosen = _integer("anchor", anchor)
         if chosen < 0 or chosen >= p:
             raise DimensionMismatchError(f"anchor {chosen} out of range for p={p}")
         failure = f"APC condition fails for anchor {chosen}"
@@ -273,7 +269,7 @@ def estimate_effect(
     be finite, as :class:`WeightVector` weights are.
     """
     idx = _check_group(group, fit.beta_hat.shape[0])
-    wv = w.weights if isinstance(w, WeightVector) else _weight_array(w)
+    wv = w.weights if isinstance(w, WeightVector) else _vector("weights", w)
     if wv.shape[0] != len(idx):
         raise DimensionMismatchError(f"{wv.shape[0]} weights for a group of {len(idx)}")
     sv = np.ones(len(idx)) if signs is None else signs.signs
@@ -308,7 +304,7 @@ def silvey_variance(fit: OlsFit, c) -> tuple[float, np.ndarray, np.ndarray]:
     the direct quadratic form c' cov c, but exposing which directions make
     the effect hard to estimate.
     """
-    c = np.asarray(c, dtype=np.float64).reshape(-1)
+    c = _vector("c", c)
     q = fit.R.shape[0]
     if c.shape[0] != q:
         raise DimensionMismatchError(f"expected a length-{q} coefficient vector")

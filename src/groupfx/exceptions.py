@@ -1,8 +1,15 @@
 """Exception hierarchy for groupfx.
 
 All library errors derive from :class:`GroupFxError` so callers (and the CLI)
-can distinguish data/model problems from programming errors.
+can distinguish data/model problems from programming errors. The private
+checks at the end convert a caller's integers, numbers, sequences and vectors.
 """
+
+import math
+import numbers
+import operator
+
+import numpy as np
 
 
 class GroupFxError(Exception):
@@ -60,3 +67,42 @@ class InvalidParameterError(GroupFxError, ValueError):
 
 class UsageError(GroupFxError):
     """Invalid command-line invocation (exit status 2)."""
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a bool or a non-integral value raises, naming
+    the field."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def _finite(name: str, value) -> float:
+    """``value`` as a float; a bool, a non-real or a non-finite value
+    raises, naming the field."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise InvalidParameterError(f"{name} must be a finite number, got {value!r}")
+
+
+def _sequence(name: str, value) -> tuple:
+    """The items of ``value`` as a tuple; a non-iterable raises, naming the
+    field."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be a sequence, got {value!r}") from None
+
+
+def _vector(name: str, value) -> np.ndarray:
+    """``value`` as a flat float64 array, checked non-empty and finite."""
+    try:
+        v = np.asarray(value, dtype=np.float64).reshape(-1)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{name} must be a vector of numbers, got {value!r}") from None
+    if v.size == 0 or not np.isfinite(v).all():
+        raise DimensionMismatchError(f"{name} must be a non-empty finite vector")
+    return v

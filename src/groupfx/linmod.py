@@ -21,6 +21,8 @@ from .exceptions import (
     InvalidParameterError,
     SingularDesignError,
     ZeroVarianceError,
+    _integer,
+    _sequence,
 )
 
 # Designs whose X'X has reciprocal condition number below this, with the
@@ -226,7 +228,7 @@ def fit_ols(data: Dataset) -> OlsFit:
 def _check_group(group, q: int) -> list[int]:
     """The group as a list of column indices, checked non-empty, distinct
     and each in range(q)."""
-    idx = [int(j) for j in group]
+    idx = [_integer("group index", j) for j in _sequence("group", group)]
     if len(idx) == 0:
         raise DimensionMismatchError("group must contain at least one column")
     if len(set(idx)) != len(idx):

@@ -31,13 +31,11 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import InvalidParameterError
+from .exceptions import InvalidParameterError, _finite, _integer, _sequence
 from .linmod import INTERCEPT_NAME, Dataset, _correlation_arrays, fit_ols
 
 DEFAULT_BETA = (5.0, 0.0, 0.0, 1.0, 2.0, 3.0, 1.0, 1.0, 1.0, 2.0, 3.0)
@@ -106,25 +104,6 @@ def _effect_plan():
 _CHUNK_ROWS = 1 << 14
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a bool or a non-integral value raises, naming
-    the field."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-
-
-def _finite(name: str, value) -> float:
-    """``value`` as a float; a bool, a non-real or a non-finite value
-    raises, naming the field."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
-        return float(value)
-    raise InvalidParameterError(f"{name} must be a finite number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class Transform:
     """Post-mixing adjustment of one variable (1-based number): scale it
@@ -140,6 +119,8 @@ class Transform:
             raise InvalidParameterError(f"variable index must be 1..{N_VARS}, got {index}")
         if _finite("scale", self.scale) == 0.0:
             raise InvalidParameterError("scale factor must be nonzero")
+        if not isinstance(self.flip, (bool, np.bool_)):
+            raise InvalidParameterError(f"flip must be a bool, got {self.flip!r}")
         object.__setattr__(self, "index", index)
 
 
@@ -182,7 +163,7 @@ class SimCaseConfig:
             raise InvalidParameterError("seed must be a nonnegative integer")
         if _finite("sigma2", self.sigma2) < 0.0:
             raise InvalidParameterError("sigma2 must be nonnegative")
-        transforms = tuple(self.transforms)
+        transforms = _sequence("transforms", self.transforms)
         if not all(isinstance(tr, Transform) for tr in transforms):
             raise InvalidParameterError("transforms must be Transform instances")
         for name, value in (("replicates", replicates), ("n", n), ("seed", seed),
@@ -389,7 +370,7 @@ def run_paper_suite(seed: int = 0, replicates: int = 1000, n: int = 15) -> Paper
     accuracy as correlation grows, beats the average effect of an equally
     sized uncorrelated group, needs the APC arrangement, survives unequal
     variability, and the damage of strong correlation stays local."""
-    if replicates < 2:  # the checks compare variances, all 0 at one replicate
+    if _integer("replicates", replicates) < 2:  # the checks compare variances, 0 at one replicate
         raise InvalidParameterError(f"the paper suite needs >= 2 replicates, got {replicates}")
     reports = tuple(
         run_case(paper_case_config(case, seed=seed, replicates=replicates, n=n))

@@ -24,6 +24,10 @@ from .exceptions import (
     DimensionMismatchError,
     InvalidParameterError,
     NegativeDeltaError,
+    _finite,
+    _integer,
+    _sequence,
+    _vector,
 )
 
 # The eleven correlation levels of the reference variance table: 0, the
@@ -55,17 +59,17 @@ class UniformSpec:
     sigma2: float = 1.0
 
     def __post_init__(self):
-        if int(self.p) != self.p or self.p < 2:
+        p, r, sigma2 = _integer("p", self.p), _finite("r", self.r), _finite("sigma2", self.sigma2)
+        if p < 2:
             raise InvalidParameterError(f"p must be an integer >= 2, got {self.p}")
-        if not (0.0 <= self.r < 1.0):
+        if not (0.0 <= r < 1.0):
             raise DegenerateCorrelationError(
                 f"common correlation must lie in [0, 1), got {self.r}"
             )
-        if not (self.sigma2 > 0.0):
+        if not (sigma2 > 0.0):
             raise InvalidParameterError(f"sigma2 must be positive, got {self.sigma2}")
-        object.__setattr__(self, "p", int(self.p))
-        object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "sigma2", float(self.sigma2))
+        for name, value in (("p", p), ("r", r), ("sigma2", sigma2)):
+            object.__setattr__(self, name, value)
 
     @property
     def denominator(self) -> float:
@@ -106,22 +110,15 @@ def uniform_inverse(spec: UniformSpec) -> UniformInverse:
     return UniformInverse(t=t, v=v, p=spec.p, r=spec.r)
 
 
-def _weights_array(w, p: int) -> np.ndarray:
-    arr = np.asarray(getattr(w, "weights", w), dtype=np.float64).reshape(-1)
-    if arr.shape[0] != p:
-        raise DimensionMismatchError(f"expected {p} weights, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise DimensionMismatchError("weights must be finite")
-    return arr
-
-
 def effect_variance(spec: UniformSpec, w) -> float:
     """Variance of the minimum-variance unbiased estimator of the group
     effect with weights w (any real weights).
 
     Returns sigma2 * ([1+(p-2)r] sum w_i^2 - 2r sum_{i<j} w_i w_j) / D.
     """
-    w = _weights_array(w, spec.p)
+    w = _vector("weights", getattr(w, "weights", w))
+    if w.shape[0] != spec.p:
+        raise DimensionMismatchError(f"expected {spec.p} weights, got {w.shape[0]}")
     sum_sq = float(w @ w)
     total = float(np.sum(w))
     cross = 0.5 * (total * total - sum_sq)  # sum over i < j of w_i w_j
@@ -148,7 +145,7 @@ def delta_variance(spec: UniformSpec, delta: float) -> float:
     Returns sigma2 * ((1-r) + delta * (1+(p-1)r)) / (p (1-r)(1+(p-1)r)),
     which is strictly increasing in delta for every fixed r.
     """
-    if delta < 0.0:
+    if _finite("delta", delta) < 0.0:
         raise NegativeDeltaError(f"delta must be nonnegative, got {delta}")
     one_minus_r = 1.0 - spec.r
     bracket = 1.0 + (spec.p - 1) * spec.r
@@ -165,7 +162,7 @@ def estimable_delta_bound(spec: UniformSpec, var_budget: float) -> float:
     delta = (1-r) * (budget * p / sigma2 - 1 / (1+(p-1)r)).
     """
     floor = average_effect_variance(spec)
-    if var_budget < floor * (1.0 - 1e-12):
+    if _finite("var_budget", var_budget) < floor * (1.0 - 1e-12):
         raise BudgetTooSmallError(
             f"budget {var_budget} is below the minimum variance {floor}"
         )
@@ -182,9 +179,7 @@ def table1(p: int, r_list=TABLE1_R_VALUES, sigma2: float = 1.0):
     reproduces the reference table for p = 8.
     """
     rows = []
-    for r in r_list:
-        spec = UniformSpec(p=p, r=float(r), sigma2=sigma2)
-        rows.append(
-            (float(r), average_effect_variance(spec), individual_effect_variance(spec))
-        )
+    for r in _sequence("r_list", r_list):
+        spec = UniformSpec(p=p, r=r, sigma2=sigma2)
+        rows.append((spec.r, average_effect_variance(spec), individual_effect_variance(spec)))
     return rows
