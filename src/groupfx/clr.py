@@ -249,7 +249,7 @@ def solve_clr(
     """
     if selection not in ("min-rss", "kfold"):
         raise InvalidParameterError(f"unknown selection strategy {selection!r}")
-    if _integer("n_folds", n_folds) < 2 and selection == "kfold":
+    if _integer("n_folds", n_folds) < 2 and selection == "kfold":  # checked either way
         raise InvalidParameterError(f"kfold selection needs n_folds >= 2, got {n_folds}")
     if _integer("seed", seed) < 0:
         raise InvalidParameterError(f"seed must be a nonnegative integer, got {seed}")
