@@ -176,7 +176,8 @@ def _config_value(key: str, value, action: argparse.Action):
 
 def _merge(ns: argparse.Namespace, actions: dict) -> dict:
     """Resolve options as: explicit flag > config file > built-in default.
-    Config values are checked like the flags they stand in for."""
+    Config values are checked like the flags they stand in for, and a config
+    key that is not an option of the subcommand is a usage error."""
     cfg = {}
     if getattr(ns, "config", None):
         try:
@@ -186,6 +187,9 @@ def _merge(ns: argparse.Namespace, actions: dict) -> dict:
             raise UsageError(f"--config: cannot read {ns.config}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise UsageError("--config: file must contain a JSON object")
+        for key in cfg:
+            if key not in actions:
+                raise UsageError(f"--config: {key!r} is not an option of {ns.subcommand}")
 
     merged = {}
     for key, (action, default) in actions.items():

@@ -44,6 +44,14 @@ _SIGN_BLOCK = 1 << 14
 _WEIGHT_TOL = 1e-10
 
 
+def _group_size(p) -> int:
+    """``p`` as an int, checked >= 1."""
+    p = _integer("p", p)
+    if p < 1:
+        raise InvalidParameterError(f"p must be >= 1, got {p}")
+    return p
+
+
 @dataclass(frozen=True)
 class WeightVector:
     """Simplex effect weights: nonnegative and summing to 1 (proper
@@ -60,11 +68,15 @@ class WeightVector:
     @classmethod
     def average(cls, p: int) -> "WeightVector":
         """The equal-weight vector (1/p, ..., 1/p)."""
+        p = _group_size(p)
         return cls(np.full(p, 1.0 / p))
 
     @classmethod
     def basis(cls, p: int, j: int) -> "WeightVector":
-        """The j-th unit basis vector (an individual effect)."""
+        """The j-th unit basis vector (an individual effect), 0 <= j < p."""
+        p, j = _group_size(p), _integer("j", j)
+        if not 0 <= j < p:
+            raise DimensionMismatchError(f"basis index {j} out of range for p={p}")
         w = np.zeros(p)
         w[j] = 1.0
         return cls(w)

@@ -98,11 +98,15 @@ def _sequence(name: str, value) -> tuple:
 
 
 def _vector(name: str, value) -> np.ndarray:
-    """``value`` as a flat float64 array, checked non-empty and finite."""
+    """``value`` as a flat float64 array, checked numeric (integer or real:
+    not bool, string or object), non-empty and finite."""
     try:
-        v = np.asarray(value, dtype=np.float64).reshape(-1)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(f"{name} must be a vector of numbers, got {value!r}") from None
+        v = np.asarray(value)
+    except (TypeError, ValueError):  # a ragged list
+        v = None
+    if v is None or v.dtype.kind not in "iuf":
+        raise InvalidParameterError(f"{name} must be a vector of numbers, got {value!r}")
+    v = v.astype(np.float64, copy=False).reshape(-1)
     if v.size == 0 or not np.isfinite(v).all():
         raise DimensionMismatchError(f"{name} must be a non-empty finite vector")
     return v

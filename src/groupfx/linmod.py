@@ -241,10 +241,11 @@ def _check_group(group, q: int) -> list[int]:
 
 def _centered_columns(data: Dataset, idx: list[int]):
     """Columns ``idx`` of X, centered, as (u, norms, e): centered column j is
-    u_j 2^e_j and has L2 norm norms_j 2^e_j. e is 0 unless a square could
-    overflow; then 2^e_j brings column j's largest magnitude into [0.5, 1).
-    A power of 2 scales exactly (short of underflow), so either way u and
-    norms carry the bits of the centered columns and their norms.
+    u_j 2^e_j and has L2 norm norms_j 2^e_j, where 2^-e_j brings column j's
+    largest magnitude into [0.5, 1), so its sum of squares neither overflows
+    nor underflows whatever the column's units. A power of 2 scales exactly
+    (short of underflow), so u and norms carry the bits of the centered
+    columns and their norms.
 
     Raises
     ------
@@ -252,11 +253,6 @@ def _centered_columns(data: Dataset, idx: list[int]):
         If a centered column's L2 norm is beyond the floating-point range.
     """
     cols = data.X[:, idx]
-    # centered entries are within 2 max|x|, so n of their squares sum to at
-    # most max/2, leaving a factor 2 for roundoff
-    if np.abs(cols).max() <= math.sqrt(np.finfo(np.float64).max / (8 * data.n)):
-        u = cols - cols.mean(axis=0)
-        return u, np.sqrt(np.sum(u**2, axis=0)), np.zeros(len(idx), dtype=np.int32)
     e = np.frexp(np.abs(cols).max(axis=0))[1]
     u = np.ldexp(cols, -e)
     u -= u.mean(axis=0)

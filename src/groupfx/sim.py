@@ -21,10 +21,11 @@ of the rows of g. These are 11 and 11 x 11 numbers whatever n is, memoised
 for all five cases of a suite.
 
 Each map m is a row of the effect plan (weights over the 11 coefficients)
-times R^{-1} Q' of the fit. The plan's template and index tables are built
-once at import, so a case writes only its ten variability weights. It reads
-the column scales and the group correlation ranges (one gather, two segment
-reductions) from the correlation arrays, with no second validation pass.
+times R^{-1} Q' of the fit. The plan is read from one group table, the
+group number of each variable: a case writes its ten variability weights,
+each column scale over its group's sum from one bincount, and takes the
+group correlation ranges as two segment reductions over the same-group
+entries of the correlation arrays, with no second validation pass.
 """
 
 from __future__ import annotations
@@ -57,47 +58,29 @@ _EFFECT_LABELS = tuple(
 
 _VARIABLE_COLUMNS = list(range(1, N_VARS + 1))  # variable j is X column j
 
+# The groups are contiguous runs of variables 1..10, so the group number of
+# each variable (entry j - 1 for variable j) is every group's number repeated
+# by its size. The effect plan is read from it and from each group's X columns.
+_GROUP_OF = np.repeat(np.arange(len(GROUPS)), [len(v) for v in GROUPS.values()])
+_GROUP_SLICES = tuple(slice(v[0], v[-1] + 1) for v in GROUPS.values())
+# off-diagonal entries of the variables' correlation within a group; row-major,
+# so each group is one segment of corr[_SAME_GROUP], starting at _OFF_STARTS
+_SAME_GROUP = (_GROUP_OF[:, None] == _GROUP_OF) & ~np.eye(N_VARS, dtype=bool)
+_OFF_STARTS = np.cumsum([0] + [len(v) * (len(v) - 1) for v in GROUPS.values()])[:-1]
 
-def _effect_plan():
-    """Index tables of the effect plan, built once from GROUPS:
 
-    - the weight rows, one per effect label over the 11 coefficients, with
-      every average row and coefficient row filled in;
-    - where the variability weights go, group by group: their rows, their X
-      columns and the group number of each, and each group's slice of them
-      with its average weights;
-    - each group's X columns, padded to the largest group size with column
-      0 (the intercept);
-    - every group's off-diagonal positions in the correlation of the
-      variables, and the start of each group's segment of them.
-    """
+def _weight_template() -> np.ndarray:
+    """The weight rows of the effect plan, one per effect label over the 11
+    coefficients, with every average row and coefficient row filled in and
+    the variability-weighted rows left 0 (read-only: run_case fills a copy)."""
     template = np.zeros((len(_EFFECT_LABELS), N_VARS + 1))
+    template[2 * _GROUP_OF, _VARIABLE_COLUMNS] = 1.0 / np.bincount(_GROUP_OF)[_GROUP_OF]
     template[2 * len(GROUPS):] = np.eye(N_VARS + 1)
-    width = max(map(len, GROUPS.values()))
-    var_rows, var_cols, var_groups, parts, padded = [], [], [], [], []
-    off_rows, off_cols, off_starts = [], [], []
-    for g, variables in enumerate(GROUPS.values()):
-        cols = list(variables)
-        w_avg = np.full(len(cols), 1.0 / len(cols))
-        template[2 * g, cols] = w_avg
-        parts.append((slice(len(var_cols), len(var_cols) + len(cols)), w_avg))
-        var_rows += [2 * g + 1] * len(cols)
-        var_cols += cols
-        var_groups += [g] * len(cols)
-        padded.append(cols + [0] * (width - len(cols)))
-        off_starts.append(len(off_rows))
-        v = [j - 1 for j in cols]
-        pairs = [(a, b) for a in v for b in v if a != b]
-        off_rows += [a for a, _ in pairs]
-        off_cols += [b for _, b in pairs]
-    template.flags.writeable = False  # run_case writes to a copy
-    return (template, np.array(var_rows), np.array(var_cols), np.array(var_groups),
-            tuple(parts), np.array(padded), (np.array(off_rows), np.array(off_cols)),
-            np.array(off_starts))
+    template.flags.writeable = False
+    return template
 
 
-(_WEIGHT_TEMPLATE, _VAR_ROWS, _VAR_COLS, _VAR_GROUPS, _GROUP_PARTS, _PADDED_COLUMNS,
- _OFF_DIAGONAL, _OFF_STARTS) = _effect_plan()
+_WEIGHT_TEMPLATE = _weight_template()
 
 # Noise is drawn and reduced in blocks of at most this many rows, which
 # bounds memory for any replicate count; chunking does not change the draw.
@@ -145,15 +128,9 @@ class SimCaseConfig:
             if not 0.0 <= _finite(name, getattr(self, name)) <= 1.0:
                 raise InvalidParameterError(f"mixing weight {name} must lie in [0, 1], "
                                             f"got {getattr(self, name)!r}")
-        try:
-            beta = tuple(map(float, self.beta))
-        except (TypeError, ValueError):
-            raise InvalidParameterError(
-                f"beta must be a sequence of numbers, got {self.beta!r}") from None
+        beta = tuple(_finite("beta", b) for b in _sequence("beta", self.beta))
         if len(beta) != N_VARS + 1:
             raise InvalidParameterError(f"beta must have {N_VARS + 1} entries (intercept first)")
-        if not all(map(math.isfinite, beta)):
-            raise InvalidParameterError(f"beta entries must be finite, got {beta!r}")
         replicates, n, seed = (_integer(k, getattr(self, k)) for k in ("replicates", "n", "seed"))
         if replicates < 1:
             raise InvalidParameterError("at least one replicate required")
@@ -282,20 +259,17 @@ def run_case(config: SimCaseConfig) -> SimReport:
 
     beta = np.asarray(config.beta)
     corr, sds = _correlation_arrays(design, _VARIABLE_COLUMNS)
-    s = np.append(0.0, sds)  # by X column: the intercept's 0 pads the groups
-    # each group's sum of s_j, added left to right as s.sum() does on so few
-    # entries (np.add.reduceat does not)
-    sums = functools.reduce(np.add, s[_PADDED_COLUMNS].T)
-    w_var = s[_VAR_COLS] / sums[_VAR_GROUPS]  # variability_weights per group
+    # variability_weights per group: bincount adds each group's s_j left to
+    # right from 0.0, so a group's sum has the bits of s[cols].sum()
+    w_var = sds / np.bincount(_GROUP_OF, weights=sds)[_GROUP_OF]
     weight_rows = _WEIGHT_TEMPLATE.copy()
-    weight_rows[_VAR_ROWS, _VAR_COLS] = w_var
+    weight_rows[2 * _GROUP_OF + 1, _VARIABLE_COLUMNS] = w_var
     # eight small dots, not one gemv, keep the bits of w @ beta[cols]
-    group_beta = beta[_VAR_COLS]
     truths = []
-    for part, w_avg in _GROUP_PARTS:
-        truths += [float(w_avg @ group_beta[part]), float(w_var[part] @ group_beta[part])]
+    for g, cols in enumerate(_GROUP_SLICES):
+        truths += [float(w @ beta[cols]) for w in weight_rows[2 * g:2 * g + 2, cols]]
     truths += beta.tolist()
-    off = corr[_OFF_DIAGONAL]
+    off = corr[_SAME_GROUP]
     corr_ranges = dict(zip(GROUPS, zip(np.minimum.reduceat(off, _OFF_STARTS).tolist(),
                                        np.maximum.reduceat(off, _OFF_STARTS).tolist())))
 

@@ -260,6 +260,11 @@ class TestMainExitCodes:
         ("simulate", {"case": 1, "w2": "nan"}, "--w2"),
         ("clr", {"c_offset": "nan"}, "--c-offset"),
         ("clr", {"c_offset": [1.0, "inf"]}, "--c-offset"),
+        # a key that is no option of the subcommand
+        ("uniform", {"sigma": 2.0}, "sigma"),
+        ("analyze", {"groups": ["3,4,5"]}, "groups"),
+        ("simulate", {"replicate": 3}, "replicate"),
+        ("clr", {"fold": 3}, "fold"),
     ])
     def test_bad_config_value_is_2(self, subcommand, cfg, key, tmp_path, dataset_csv,
                                    capsys):
@@ -279,6 +284,14 @@ class TestMainExitCodes:
         # a config key is quoted in the message; list values fail at their flag
         named = key if key.startswith("--") else f"--config: {key!r}"
         assert "groupfx:" in err and named in err and "Traceback" not in err
+
+    def test_unknown_config_key_names_the_subcommand(self, tmp_path, capsys):
+        # a misspelt key would otherwise leave its option at the default
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"replicate": 3}))
+        code, out, err = run_main(["simulate", "--case", "1", "--config", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "groupfx: --config: 'replicate' is not an option of simulate\n"
 
     def test_config_values_convert_like_flags(self, tmp_path, dataset_csv):
         # a config string is read by the flag's own type, a JSON number as

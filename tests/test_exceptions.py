@@ -93,6 +93,17 @@ BAD_CALLS = {
     "SimCaseConfig-transforms-Transform": lambda: SimCaseConfig(w1=0.5, w2=0.5,
                                                                 transforms=Transform(2)),
     "Transform-flip-int": lambda: Transform(2, flip=2),
+    # a vector is integer or real: numpy would parse these strings as numbers
+    "WeightVector-weights-str-list": lambda: WeightVector(["0.5", "0.5"]),
+    "estimate_effect-weights-str-list": lambda: estimate_effect(FIT, [1, 2], ["0.5", "0.5"]),
+    "effect_variance-weights-str-number": lambda: effect_variance(SPEC, "5"),
+    "SignArrangement-signs-bool": lambda: SignArrangement([True, True]),
+    "WeightVector-weights-object": lambda: WeightVector(np.array([0.5, 0.5], dtype=object)),
+    "WeightVector.average-p-float": lambda: WeightVector.average(2.5),
+    "WeightVector.average-p-bool": lambda: WeightVector.average(True),
+    "WeightVector.average-p-zero": lambda: WeightVector.average(0),
+    "WeightVector.basis-p-zero": lambda: WeightVector.basis(0, 0),
+    "WeightVector.basis-j-float": lambda: WeightVector.basis(3, 1.0),
 }
 
 
@@ -116,6 +127,12 @@ EMPTY_OR_NON_FINITE = {
 def test_empty_or_non_finite_vector_is_a_dimension_error(call):
     with pytest.raises(DimensionMismatchError, match="non-empty finite vector"):
         call()
+
+
+@pytest.mark.parametrize("j", [3, 5, -1])
+def test_basis_index_out_of_range_is_a_dimension_error(j):
+    with pytest.raises(DimensionMismatchError, match="out of range"):
+        WeightVector.basis(3, j)
 
 
 def test_numpy_integers_are_accepted_as_ints():

@@ -291,7 +291,7 @@ class TestCorrelation:
             correlation(data, [])
 
     @pytest.mark.parametrize("seed, n, scale", [(0, 15, 1.0), (1, 40, 1e-3), (2, 300, 1.0),
-                                                 (3, 12, 1e200)])
+                                                 (3, 12, 1e200), (4, 30, 2.0**-600)])
     def test_arrays_keep_their_bits_in_the_matrix(self, seed, n, scale):
         # run_case reads the arrays of _correlation_arrays in place of
         # correlation(); CorrelationMatrix symmetrizes, which must change no
@@ -311,19 +311,36 @@ class TestCorrelation:
 
     @pytest.mark.filterwarnings("error")
     def test_column_too_large_to_square_is_equilibrated(self):
-        # squaring 1e200 overflows; the centered sums are taken on the column
-        # scaled by a power of 2, so it correlates as the column over 1e200
+        # squaring 1e200 overflows, and squaring 1e-200 underflows; the
+        # centered sums are taken on the column scaled by a power of 2, so it
+        # correlates as the column over its scale
         rng = np.random.default_rng(3)
         y, b = rng.standard_normal(4), rng.standard_normal(4)
         big = np.array([1.0, 2.0, 1.5, 2.5])
-        data = Dataset.from_columns(y, [1e200 * big, b], ["big", "b"])
         unit = Dataset.from_columns(y, [big, b], ["big", "b"])
-        corr, want = correlation(data, [1, 2]), correlation(unit, [1, 2])
-        npt.assert_allclose(corr.values, want.values, rtol=1e-14)
-        npt.assert_allclose(corr.column_sds, want.column_sds * [1e200, 1.0], rtol=1e-14)
-        (std, scales), (std_unit, _) = standardize(data, [2]), standardize(unit, [2])
-        npt.assert_allclose(std.X, std_unit.X * [1e200, 1.0], rtol=1e-14)
-        npt.assert_array_equal(scales, want.column_sds[1:])
+        want = correlation(unit, [1, 2])
+        for scale in (1e200, 1e-200):
+            data = Dataset.from_columns(y, [scale * big, b], ["big", "b"])
+            corr = correlation(data, [1, 2])
+            npt.assert_allclose(corr.values, want.values, rtol=1e-14)
+            npt.assert_allclose(corr.column_sds, want.column_sds * [scale, 1.0], rtol=1e-14)
+            (std, scales), (std_unit, _) = standardize(data, [2]), standardize(unit, [2])
+            npt.assert_allclose(std.X, std_unit.X * [scale, 1.0], rtol=1e-14)
+            npt.assert_array_equal(scales, want.column_sds[1:])
+
+    @pytest.mark.parametrize("k", [-1000, -600, -520, 300, 1000])
+    def test_power_of_two_scale_is_exact(self, k):
+        # a column scaled by 2^k, whatever k, leaves R's bits and scales its s
+        # by exactly 2^k
+        rng = np.random.default_rng(5)
+        cols = rng.standard_normal((30, 4)) @ rng.standard_normal((4, 4))
+        names = ["a", "b", "c", "d"]
+        unit = Dataset.from_columns(rng.standard_normal(30), list(cols.T), names)
+        cols[:, 2] = np.ldexp(cols[:, 2], k)
+        data = Dataset.from_columns(unit.y, list(cols.T), names)
+        corr, want = correlation(data, [1, 2, 3, 4]), correlation(unit, [1, 2, 3, 4])
+        assert corr.values.tobytes() == want.values.tobytes()
+        assert corr.column_sds.tobytes() == np.ldexp(want.column_sds, [0, 0, k, 0]).tobytes()
 
     @pytest.mark.filterwarnings("error")
     def test_one_huge_entry_in_a_long_column(self):

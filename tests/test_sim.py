@@ -87,6 +87,10 @@ class TestGenerateDesign:
                      id="beta-inf"),
         pytest.param("beta", lambda: SimCaseConfig(w1=0.5, w2=0.5, beta=(float("nan"),) * 11),
                      id="beta-nan"),
+        pytest.param("beta", lambda: SimCaseConfig(w1=0.5, w2=0.5, beta=("5",) * 11),
+                     id="beta-str"),
+        pytest.param("beta", lambda: SimCaseConfig(w1=0.5, w2=0.5, beta=(True,) * 11),
+                     id="beta-bool"),
         pytest.param("n", lambda: SimCaseConfig(w1=0.5, w2=0.5, n=15.0), id="n-float"),
         pytest.param("n", lambda: SimCaseConfig(w1=0.5, w2=0.5, n=True), id="n-bool"),
         pytest.param("replicates", lambda: SimCaseConfig(w1=0.5, w2=0.5, replicates=2.5),
