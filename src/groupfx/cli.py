@@ -8,6 +8,9 @@ digits; all randomness flows from ``--seed`` (default 0), so identical
 invocations produce byte-identical output.
 
 Exit status: 0 on success, 1 on data/runtime errors, 2 on usage errors.
+The library states each parameter's valid range; a value it rejects under
+the name of one of the subcommand's options is a usage error that names
+the flag the value came from.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from . import clr as clr_mod
 from . import sim as sim_mod
 from .effects import WeightVector, apc_arrangement, estimate_effect, variability_weights
-from .exceptions import DimensionMismatchError, GroupFxError, UsageError
+from .exceptions import GroupFxError, UsageError
 from .linmod import Dataset, correlation, fit_ols, load_csv
 from .uniform import TABLE1_R_VALUES, table1
 
@@ -65,7 +68,7 @@ def _round8(obj):
 
 @dataclass
 class RunConfig:
-    """Validated invocation: one subcommand plus its settings."""
+    """Parsed invocation: one subcommand plus its settings."""
 
     subcommand: str
     input_path: str | None = None
@@ -74,6 +77,9 @@ class RunConfig:
     format: str = "csv"
     out: str | None = None
     options: dict = field(default_factory=dict)
+    # the flag of each option by its dest, and of each library parameter that
+    # stands for an option by the parameter's name
+    _flags: dict = field(default_factory=dict, repr=False)
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -218,20 +224,6 @@ def _parse_floats(raw, flag: str) -> list[float]:
     return vals
 
 
-def _parse_offsets(raw) -> list[float]:
-    offsets = _parse_floats(raw, "--c-offset")
-    if not all(math.isfinite(o) and o >= 0.0 for o in offsets):
-        raise UsageError("--c-offset: must be finite and nonnegative")
-    return offsets
-
-
-def _parse_seed(raw) -> int:
-    seed = int(raw)
-    if seed < 0:
-        raise UsageError("--seed: must be a nonnegative integer")
-    return seed
-
-
 def _parse_groups(raw_groups) -> list[list[str]]:
     # Empty groups pass through; they fail downstream as a data error
     # (exit 1) rather than a usage error.
@@ -248,10 +240,11 @@ def _parse_groups(raw_groups) -> list[list[str]]:
 
 
 def parse_args(argv=None) -> RunConfig:
-    """Parse and validate the command line into a :class:`RunConfig`.
+    """Parse the command line into a :class:`RunConfig`.
 
-    Raises :class:`UsageError` (exit status 2) on semantic problems;
-    argparse itself exits with status 2 on malformed flags.
+    Raises :class:`UsageError` (exit status 2) on a missing, conflicting or
+    malformed option; argparse itself exits with status 2 on malformed
+    flags. Values are range-checked by the library when the subcommand runs.
     """
     parser, actions = _build_parser()
     ns = parser.parse_args(argv)
@@ -259,25 +252,23 @@ def parse_args(argv=None) -> RunConfig:
         raise UsageError("a subcommand is required: uniform, analyze, simulate or clr")
 
     merged = _merge(ns, actions[ns.subcommand])
+    flags = {dest: action.option_strings[0]
+             for dest, (action, _) in actions[ns.subcommand].items()}
     config = RunConfig(subcommand=ns.subcommand, format=merged["format"],
-                       out=merged.get("out"))
+                       out=merged.get("out"), _flags=flags)
 
     if ns.subcommand == "uniform":
-        if merged["p"] is None or merged["p"] < 2:
-            raise UsageError("--p: an integer >= 2 is required")
         if merged["r"] is not None and merged["r_list"] is not None:
             raise UsageError("--r and --r-list are mutually exclusive")
         if merged["r"] is not None:
             r_values = [float(merged["r"])]
         elif merged["r_list"] is not None:
             r_values = _parse_floats(merged["r_list"], "--r-list")
+            flags["r"] = flags["r_list"]
         else:
             r_values = list(TABLE1_R_VALUES)
-        sigma2 = float(merged["sigma2"])
-        if not (math.isfinite(sigma2) and sigma2 > 0.0):
-            raise UsageError("--sigma2: must be positive and finite")
         config.options = {"p": int(merged["p"]), "r_values": r_values,
-                          "sigma2": sigma2}
+                          "sigma2": float(merged["sigma2"])}
 
     elif ns.subcommand == "analyze":
         if not merged["csv"]:
@@ -298,14 +289,9 @@ def parse_args(argv=None) -> RunConfig:
                                  "or give both --w1 and --w2")
         if merged["paper_suite"] and merged["case"] is not None:
             raise UsageError("--case and --paper-suite are mutually exclusive")
-        for key in ("w1", "w2"):
-            if merged[key] is not None and not 0.0 <= merged[key] <= 1.0:
-                raise UsageError(f"--{key}: must lie in [0, 1], got {merged[key]!r}")
-        if merged["replicates"] < 1:
-            raise UsageError("--replicates: must be >= 1")
-        if merged["n"] < 1:
-            raise UsageError("--n: must be >= 1")
-        config.seed = _parse_seed(merged["seed"])
+        if merged["paper_suite"] and (merged["w1"] is not None or merged["w2"] is not None):
+            raise UsageError("--w1 and --w2 do not apply to --paper-suite")
+        config.seed = merged["seed"]
         config.options = {
             "case": merged["case"],
             "paper_suite": bool(merged["paper_suite"]),
@@ -323,16 +309,14 @@ def parse_args(argv=None) -> RunConfig:
         groups = _parse_groups(merged["group"] or [])
         if len(groups) != 1:
             raise UsageError("--group: exactly one group is required")
-        offsets = _parse_offsets(merged["c_offset"])
-        if int(merged["folds"]) < 2:
-            raise UsageError("--folds: must be >= 2")
+        flags["n_folds"] = flags["folds"]
         config.input_path = merged["csv"]
         config.response = merged["response"]
-        config.seed = _parse_seed(merged["seed"])
+        config.seed = merged["seed"]
         config.options = {
             "group_tokens": groups,
             "anchor_token": merged["anchor"],
-            "c_offsets": offsets,
+            "c_offsets": _parse_floats(merged["c_offset"], "--c-offset"),
             "select": merged["select"],
             "folds": int(merged["folds"]),
         }
@@ -343,8 +327,6 @@ def parse_args(argv=None) -> RunConfig:
 def _resolve_columns(data: Dataset, tokens, flag: str) -> list[int]:
     """Map predictor names or 1-based positions to X column indices. With
     the explicit intercept at column 0, 1-based predictor k is column k."""
-    if not tokens:
-        raise DimensionMismatchError(f"{flag}: empty group")
     indices = []
     for tok in tokens:
         if tok in data.names:
@@ -544,13 +526,9 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
+    config = None
     try:
         config = parse_args(argv)
-    except UsageError as exc:
-        print(f"groupfx: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         report = _RUNNERS[config.subcommand](config)
         payload = render_report(report, config.format)
         if config.out:
@@ -563,6 +541,10 @@ def main(argv=None) -> int:
         print(f"groupfx: {exc}", file=sys.stderr)
         return 2
     except GroupFxError as exc:
+        flag = config and config._flags.get(getattr(exc, "name", None))
+        if flag:
+            print(f"groupfx: {flag}: {exc}", file=sys.stderr)
+            return 2
         err = {"schema_version": SCHEMA_VERSION, "error": type(exc).__name__,
                "message": str(exc)}
         print(json.dumps(err), file=sys.stderr)

@@ -244,17 +244,18 @@ def solve_clr(
     ``"kfold"`` (cross-validated prediction error with fold assignment drawn
     from ``seed``; more folds than rows means leave-one-out), whose refits
     for every fold and both candidates come from one QR factorization.
+    ``n_folds`` must be at least 2 under either strategy.
     Coefficients outside the group keep their OLS values, from
     :func:`~groupfx.linmod.fit_ols`, which rejects a singular design.
     """
     if selection not in ("min-rss", "kfold"):
         raise InvalidParameterError(f"unknown selection strategy {selection!r}")
-    if _integer("n_folds", n_folds) < 2 and selection == "kfold":  # checked either way
-        raise InvalidParameterError(f"kfold selection needs n_folds >= 2, got {n_folds}")
+    if _integer("n_folds", n_folds) < 2:
+        raise InvalidParameterError(f"n_folds must be >= 2, got {n_folds}", "n_folds")
     if _integer("seed", seed) < 0:
-        raise InvalidParameterError(f"seed must be a nonnegative integer, got {seed}")
+        raise InvalidParameterError(f"seed must be a nonnegative integer, got {seed}", "seed")
     if _finite("c_offset", c_offset) < 0.0:
-        raise RadiusTooSmallError("c_offset must be nonnegative")
+        raise RadiusTooSmallError("c_offset must be nonnegative", "c_offset")
     slot = _shared_solver.get() or [None]
     if slot[0] is None:
         slot[0] = _offset_solver(data, group, selection, n_folds, seed, anchor)

@@ -49,10 +49,6 @@ class ConvergenceError(GroupFxError):
     """An iterative evaluation (the t tail's continued fraction) did not converge."""
 
 
-class RadiusTooSmallError(GroupFxError):
-    """Sphere radius is smaller than the hyperplane's minimum-norm distance."""
-
-
 class ZeroWeightError(GroupFxError):
     """Weight vector is identically zero."""
 
@@ -62,7 +58,17 @@ class DataFormatError(GroupFxError):
 
 
 class InvalidParameterError(GroupFxError, ValueError):
-    """A parameter lies outside its valid range (also a ``ValueError``)."""
+    """A parameter lies outside its valid range (also a ``ValueError``).
+    ``name`` is the parameter's name when the error concerns one parameter,
+    else None."""
+
+    def __init__(self, message: str, name: str | None = None):
+        super().__init__(message)
+        self.name = name
+
+
+class RadiusTooSmallError(InvalidParameterError):
+    """Sphere radius is smaller than the hyperplane's minimum-norm distance."""
 
 
 class UsageError(GroupFxError):
@@ -77,7 +83,7 @@ def _integer(name: str, value) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    raise InvalidParameterError(f"{name} must be an integer, got {value!r}", name)
 
 
 def _finite(name: str, value) -> float:
@@ -85,7 +91,7 @@ def _finite(name: str, value) -> float:
     raises, naming the field."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
         return float(value)
-    raise InvalidParameterError(f"{name} must be a finite number, got {value!r}")
+    raise InvalidParameterError(f"{name} must be a finite number, got {value!r}", name)
 
 
 def _sequence(name: str, value) -> tuple:
@@ -94,7 +100,7 @@ def _sequence(name: str, value) -> tuple:
     try:
         return tuple(value)
     except TypeError:
-        raise InvalidParameterError(f"{name} must be a sequence, got {value!r}") from None
+        raise InvalidParameterError(f"{name} must be a sequence, got {value!r}", name) from None
 
 
 def _vector(name: str, value) -> np.ndarray:
@@ -105,7 +111,7 @@ def _vector(name: str, value) -> np.ndarray:
     except (TypeError, ValueError):  # a ragged list
         v = None
     if v is None or v.dtype.kind not in "iuf":
-        raise InvalidParameterError(f"{name} must be a vector of numbers, got {value!r}")
+        raise InvalidParameterError(f"{name} must be a vector of numbers, got {value!r}", name)
     v = v.astype(np.float64, copy=False).reshape(-1)
     if v.size == 0 or not np.isfinite(v).all():
         raise DimensionMismatchError(f"{name} must be a non-empty finite vector")

@@ -127,22 +127,22 @@ class SimCaseConfig:
         for name in ("w1", "w2"):
             if not 0.0 <= _finite(name, getattr(self, name)) <= 1.0:
                 raise InvalidParameterError(f"mixing weight {name} must lie in [0, 1], "
-                                            f"got {getattr(self, name)!r}")
+                                            f"got {getattr(self, name)!r}", name)
         beta = tuple(_finite("beta", b) for b in _sequence("beta", self.beta))
         if len(beta) != N_VARS + 1:
             raise InvalidParameterError(f"beta must have {N_VARS + 1} entries (intercept first)")
         replicates, n, seed = (_integer(k, getattr(self, k)) for k in ("replicates", "n", "seed"))
         if replicates < 1:
-            raise InvalidParameterError("at least one replicate required")
+            raise InvalidParameterError("at least one replicate required", "replicates")
         if n < 1:
-            raise InvalidParameterError("sample size n must be >= 1")
+            raise InvalidParameterError("sample size n must be >= 1", "n")
         if seed < 0:
-            raise InvalidParameterError("seed must be a nonnegative integer")
+            raise InvalidParameterError("seed must be a nonnegative integer", "seed")
         if _finite("sigma2", self.sigma2) < 0.0:
-            raise InvalidParameterError("sigma2 must be nonnegative")
+            raise InvalidParameterError("sigma2 must be nonnegative", "sigma2")
         transforms = _sequence("transforms", self.transforms)
         if not all(isinstance(tr, Transform) for tr in transforms):
-            raise InvalidParameterError("transforms must be Transform instances")
+            raise InvalidParameterError("transforms must be Transform instances", "transforms")
         for name, value in (("replicates", replicates), ("n", n), ("seed", seed),
                             ("beta", beta), ("transforms", transforms)):
             object.__setattr__(self, name, value)
@@ -309,7 +309,7 @@ def paper_case_config(case: int, seed: int = 0, replicates: int = 1000,
     """
     case = _integer("case", case)
     if case not in _PAPER_CASES:
-        raise InvalidParameterError(f"case must be 1..5, got {case}")
+        raise InvalidParameterError(f"case must be 1..5, got {case}", "case")
     (w1, w2), transforms = _PAPER_CASES[case]
     return SimCaseConfig(
         w1=w1, w2=w2, n=n, replicates=replicates, seed=seed,
@@ -345,7 +345,8 @@ def run_paper_suite(seed: int = 0, replicates: int = 1000, n: int = 15) -> Paper
     sized uncorrelated group, needs the APC arrangement, survives unequal
     variability, and the damage of strong correlation stays local."""
     if _integer("replicates", replicates) < 2:  # the checks compare variances, 0 at one replicate
-        raise InvalidParameterError(f"the paper suite needs >= 2 replicates, got {replicates}")
+        raise InvalidParameterError(f"the paper suite needs >= 2 replicates, got {replicates}",
+                                    "replicates")
     reports = tuple(
         run_case(paper_case_config(case, seed=seed, replicates=replicates, n=n))
         for case in range(1, 6)

@@ -61,13 +61,13 @@ class UniformSpec:
     def __post_init__(self):
         p, r, sigma2 = _integer("p", self.p), _finite("r", self.r), _finite("sigma2", self.sigma2)
         if p < 2:
-            raise InvalidParameterError(f"p must be an integer >= 2, got {self.p}")
+            raise InvalidParameterError(f"p must be an integer >= 2, got {self.p}", "p")
         if not (0.0 <= r < 1.0):
             raise DegenerateCorrelationError(
                 f"common correlation must lie in [0, 1), got {self.r}"
             )
         if not (sigma2 > 0.0):
-            raise InvalidParameterError(f"sigma2 must be positive, got {self.sigma2}")
+            raise InvalidParameterError(f"sigma2 must be positive, got {self.sigma2}", "sigma2")
         for name, value in (("p", p), ("r", r), ("sigma2", sigma2)):
             object.__setattr__(self, name, value)
 

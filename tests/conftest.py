@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from groupfx import Dataset, SimCaseConfig, generate_design
+from groupfx import Dataset, SimCaseConfig, Transform, generate_design, paper_case_config
 
 
 def centered_orthonormal_basis(n: int, k: int, rng=None) -> np.ndarray:
@@ -60,6 +60,42 @@ def cone_design(p: int, n: int, rng) -> np.ndarray:
         sign = rng.choice((-1.0, 1.0))
         cols.append(sign * (cos_theta * anchor + sin_theta * basis[:, j]))
     return np.column_stack(cols)
+
+
+# A simulation field of the wrong kind, each with the name its error carries.
+BAD_SIM_FIELDS = [
+    pytest.param("sigma2", lambda: SimCaseConfig(w1=0.5, w2=0.5, sigma2=float("nan")),
+                 id="sigma2-nan"),
+    pytest.param("sigma2", lambda: SimCaseConfig(w1=0.5, w2=0.5, sigma2=float("inf")),
+                 id="sigma2-inf"),
+    pytest.param("w1", lambda: SimCaseConfig(w1=float("nan"), w2=0.5), id="w1-nan"),
+    pytest.param("w2", lambda: SimCaseConfig(w1=0.5, w2=True), id="w2-bool"),
+    pytest.param("beta", lambda: SimCaseConfig(w1=0.5, w2=0.5,
+                                               beta=(1.0,) * 10 + (float("inf"),)),
+                 id="beta-inf"),
+    pytest.param("beta", lambda: SimCaseConfig(w1=0.5, w2=0.5, beta=(float("nan"),) * 11),
+                 id="beta-nan"),
+    pytest.param("beta", lambda: SimCaseConfig(w1=0.5, w2=0.5, beta=("5",) * 11),
+                 id="beta-str"),
+    pytest.param("beta", lambda: SimCaseConfig(w1=0.5, w2=0.5, beta=(True,) * 11),
+                 id="beta-bool"),
+    pytest.param("n", lambda: SimCaseConfig(w1=0.5, w2=0.5, n=15.0), id="n-float"),
+    pytest.param("n", lambda: SimCaseConfig(w1=0.5, w2=0.5, n=True), id="n-bool"),
+    pytest.param("replicates", lambda: SimCaseConfig(w1=0.5, w2=0.5, replicates=2.5),
+                 id="replicates-float"),
+    pytest.param("seed", lambda: SimCaseConfig(w1=0.5, w2=0.5, seed=np.float64(3.0)),
+                 id="seed-numpy-float"),
+    pytest.param("seed", lambda: SimCaseConfig(w1=0.5, w2=0.5, seed=False),
+                 id="seed-bool"),
+    pytest.param("transforms", lambda: SimCaseConfig(w1=0.5, w2=0.5,
+                                                     transforms=((2, 2.0),)),
+                 id="transforms-tuple"),
+    pytest.param("scale", lambda: Transform(2, scale=float("inf")), id="scale-inf"),
+    pytest.param("scale", lambda: Transform(2, scale=float("nan")), id="scale-nan"),
+    pytest.param("index", lambda: Transform(2.0), id="index-float"),
+    pytest.param("case", lambda: paper_case_config(True), id="case-bool"),
+    pytest.param("case", lambda: paper_case_config(2.0), id="case-float"),
+]
 
 
 def mixing_dataset(w1: float, w2: float, seed: int, n: int = 15) -> Dataset:

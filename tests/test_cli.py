@@ -87,6 +87,13 @@ class TestParseArgs:
         with pytest.raises(UsageError):
             parse_args(["simulate"])
 
+    @pytest.mark.parametrize("weight", ["--w1", "--w2"])
+    def test_paper_suite_takes_no_mixing_weight(self, weight):
+        # the suite runs the five cases' own weights, so a given one would
+        # go unread, and an out-of-range one unchecked
+        with pytest.raises(UsageError, match="do not apply to --paper-suite"):
+            parse_args(["simulate", "--paper-suite", weight, "2"])
+
     def test_missing_subcommand(self):
         with pytest.raises(UsageError):
             parse_args([])
@@ -210,6 +217,10 @@ class TestMainExitCodes:
         ["clr", "--response", "y", "--group", "3,4,5", "--c-offset", "nan"],
         ["clr", "--response", "y", "--group", "3,4,5", "--c-offset", "inf"],
         ["clr", "--response", "y", "--group", "3,4,5", "--c-offset", "1,inf"],
+        ["uniform", "--p", "8", "--r-list", "nan"],
+        ["uniform", "--p", "8", "--r", "nan"],
+        ["simulate", "--paper-suite", "--replicates", "1"],
+        ["clr", "--response", "y", "--group", "3,4,5", "--c-offset", "-1"],
     ])
     def test_bad_sigma2_or_folds_is_2(self, args, dataset_csv, capsys):
         if args[0] == "clr":
@@ -218,6 +229,12 @@ class TestMainExitCodes:
         assert code == 2
         assert out == ""
         assert "groupfx:" in err and "Traceback" not in err
+
+    def test_rejected_value_names_the_flag_it_came_from(self, capsys):
+        # the library names the parameter r; the value came from --r-list
+        code, out, err = run_main(["uniform", "--p", "8", "--r-list", "nan"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("groupfx: --r-list:")
 
     @pytest.mark.parametrize("folds", ["1000000000000000000", "100000000000000000000"])
     def test_huge_fold_count_is_leave_one_out(self, folds, dataset_csv, capsys):

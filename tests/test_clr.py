@@ -213,11 +213,13 @@ class TestSolveClr:
 
     @pytest.mark.parametrize("n_folds", [-1, 0, 1])
     def test_kfold_needs_two_folds(self, data, n_folds):
-        with pytest.raises(ValueError):
-            solve_clr(data, [3, 4, 5], selection="kfold", n_folds=n_folds)
-        with pytest.raises(ValueError):
-            solve_clr_best_offset(data, [3, 4, 5], [1.0], selection="kfold",
-                                  n_folds=n_folds)
+        # min-rss draws no folds, but the fold count is checked the same way
+        for selection in ("kfold", "min-rss"):
+            with pytest.raises(ValueError):
+                solve_clr(data, [3, 4, 5], selection=selection, n_folds=n_folds)
+            with pytest.raises(ValueError):
+                solve_clr_best_offset(data, [3, 4, 5], [1.0], selection=selection,
+                                      n_folds=n_folds)
 
     def test_negative_offset_rejected(self, data):
         with pytest.raises(RadiusTooSmallError):

@@ -32,7 +32,7 @@ from groupfx import (
     t_sf_two_sided,
     table1,
 )
-from conftest import uniform_design_dataset
+from conftest import BAD_SIM_FIELDS, uniform_design_dataset
 
 PROBLEM = ClrProblem(w=WeightVector.average(2), tau_hat=1.0)
 DATA = uniform_design_dataset(30, 3, 0.9)
@@ -114,6 +114,45 @@ def test_validator_raises_a_groupfx_error(call):
     # callers that catch ValueError still catch it
     assert isinstance(exc.value, InvalidParameterError)
     assert isinstance(exc.value, ValueError)
+
+
+# A value that one parameter's range check rejects, with the parameter's
+# name; a RadiusTooSmallError is an InvalidParameterError too. The command
+# line reports each of these under the option the value came from.
+NAMED_RANGE_ERRORS = [
+    pytest.param("p", lambda: UniformSpec(p=1, r=0.5), id="UniformSpec-p"),
+    pytest.param("r", lambda: UniformSpec(p=8, r=np.nan), id="UniformSpec-r-nan"),
+    pytest.param("sigma2", lambda: UniformSpec(p=8, r=0.5, sigma2=0.0), id="UniformSpec-sigma2"),
+    pytest.param("w1", lambda: SimCaseConfig(w1=1.5, w2=0.5), id="SimCaseConfig-w1"),
+    pytest.param("w2", lambda: SimCaseConfig(w1=0.5, w2=-0.1), id="SimCaseConfig-w2"),
+    pytest.param("replicates", lambda: SimCaseConfig(w1=0.5, w2=0.5, replicates=0),
+                 id="SimCaseConfig-replicates"),
+    pytest.param("n", lambda: SimCaseConfig(w1=0.5, w2=0.5, n=0), id="SimCaseConfig-n"),
+    pytest.param("seed", lambda: SimCaseConfig(w1=0.5, w2=0.5, seed=-1), id="SimCaseConfig-seed"),
+    pytest.param("sigma2", lambda: SimCaseConfig(w1=0.5, w2=0.5, sigma2=-1.0),
+                 id="SimCaseConfig-sigma2"),
+    pytest.param("transforms", lambda: SimCaseConfig(w1=0.5, w2=0.5, transforms=(2,)),
+                 id="SimCaseConfig-transforms"),
+    pytest.param("case", lambda: paper_case_config(6), id="paper_case_config-case"),
+    pytest.param("replicates", lambda: run_paper_suite(replicates=1),
+                 id="run_paper_suite-replicates"),
+    pytest.param("n_folds", lambda: solve_clr(DATA, [0, 1, 2], selection="kfold", n_folds=1),
+                 id="solve_clr-n_folds-kfold"),
+    pytest.param("n_folds", lambda: solve_clr(DATA, [0, 1, 2], n_folds=1),
+                 id="solve_clr-n_folds-min-rss"),
+    pytest.param("seed", lambda: solve_clr(DATA, [0, 1, 2], seed=-1), id="solve_clr-seed"),
+    pytest.param("c_offset", lambda: solve_clr(DATA, [0, 1, 2], c_offset=-1.0),
+                 id="solve_clr-c_offset"),
+    pytest.param("c_offset", lambda: solve_clr_best_offset(DATA, [0, 1, 2], [1.0, -1.0]),
+                 id="solve_clr_best_offset-c_offset"),
+]
+
+
+@pytest.mark.parametrize("name, call", NAMED_RANGE_ERRORS + BAD_SIM_FIELDS)
+def test_error_carries_the_parameter_name(name, call):
+    with pytest.raises(InvalidParameterError) as exc:
+        call()
+    assert exc.value.name == name
 
 
 EMPTY_OR_NON_FINITE = {
