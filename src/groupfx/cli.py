@@ -5,7 +5,11 @@ equicorrelated model), ``analyze`` (group-effect table for a CSV dataset),
 ``simulate`` (the Monte Carlo cases), and ``clr`` (constrained local
 regression). Output is CSV or JSON with floats rendered to 8 significant
 digits; all randomness flows from ``--seed`` (default 0), so identical
-invocations produce byte-identical output.
+invocations produce byte-identical output at a fixed BLAS thread count.
+Across thread counts the printed digits of the paper suite and of a k-fold
+``clr`` run match too, but the raw float bits of a tall fit (n in the
+thousands) can differ in their last place, so a value on a rounding
+boundary of its eighth digit could print differently.
 
 Exit status: 0 on success, 1 on data/runtime errors, 2 on usage errors.
 The library states each parameter's valid range; a value it rejects under

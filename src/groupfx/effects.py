@@ -69,7 +69,7 @@ class WeightVector:
     def average(cls, p: int) -> "WeightVector":
         """The equal-weight vector (1/p, ..., 1/p)."""
         p = _group_size(p)
-        return cls(np.full(p, 1.0 / p))
+        return cls._on_simplex(np.full(p, 1.0 / p))
 
     @classmethod
     def basis(cls, p: int, j: int) -> "WeightVector":
@@ -79,7 +79,16 @@ class WeightVector:
             raise DimensionMismatchError(f"basis index {j} out of range for p={p}")
         w = np.zeros(p)
         w[j] = 1.0
-        return cls(w)
+        return cls._on_simplex(w)
+
+    @classmethod
+    def _on_simplex(cls, w: np.ndarray) -> "WeightVector":
+        """A WeightVector around a flat float64 vector that is on the simplex
+        by construction, without the checks of __post_init__ (they cost more
+        than building a short vector)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "weights", w)
+        return self
 
 
 @dataclass(frozen=True)
@@ -141,31 +150,45 @@ def _lgamma_half_ratio(a: float) -> float:
         0.125 - u * (1.0 / 192 - u * (1.0 / 640 - u * (17.0 / 14336)))) / a
 
 
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for I_x(a, b), evaluated by the modified Lentz
-    method; it converges fast for x < (a + 1) / (a + b + 2)."""
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if -_CF_TINY < d < _CF_TINY:
-        d = _CF_TINY
-    d = h = 1.0 / d
+def _beta_cf(a: float, b: float, x: float, y: float) -> float:
+    """Continued fraction for I_x(a, b), with y = 1 - x formed directly;
+    it converges fast for x < (a + 1) / (a + b + 2).
+
+    The fraction is 1 / (1 + d_1 / (1 + d_2 / (1 + ...))) with
+    d_(2m+1) = -(a + m)(a + b + m) x / ((a + 2m)(a + 2m + 1)) and
+    d_(2m) = m (b - m) x / ((a + 2m - 1)(a + 2m)) (Numerical Recipes,
+    section 6.4). Near x = 1 and at large a each 1 + d_(2m+1) is a
+    difference of nearly equal numbers, so it is written as e_m = y + P_m x /
+    ((a + 2m)(a + 2m + 1)), with P_m = a (1 - b) + m (2a + 2 - b + 3m); for
+    b < 1 no term of it cancels. Pairing every odd term with the even term
+    after it gives 1 - d_1 / T, T = e_0 + d_2 - d_2 d_3 / (e_1 + d_4 - d_4
+    d_5 / (e_2 + d_6 - ...)), which the modified Lentz method evaluates."""
+    qab = a + b
+    ap = a + 1.0  # a + 2m + 1 in step m
+    p0, p1 = a * (1.0 - b), 2.0 * a + 2.0 - b  # P_m = p0 + m (p1 + 3m)
+    d_first = -qab * x / ap
+    d_even = (b - 1.0) * x / (ap * (ap + 1.0))  # d_2
+    f = y + (1.0 - b) * x / ap + d_even  # e_0 + d_2
+    if -_CF_TINY < f < _CF_TINY:
+        f = _CF_TINY
+    c, d = f, 0.0
     for m in range(1, _CF_MAX_TERMS + 1):
-        m2 = 2 * m
-        # the even step, then the odd one
-        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
-                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
-            d = 1.0 + aa * d
-            if -_CF_TINY < d < _CF_TINY:
-                d = _CF_TINY
-            c = 1.0 + aa / c
-            if -_CF_TINY < c < _CF_TINY:
-                c = _CF_TINY
-            d = 1.0 / d
-            step = d * c
-            h *= step
+        ap += 2.0
+        x_den = x / ((ap - 1.0) * ap)
+        alpha = d_even * (a + m) * (qab + m) * x_den  # -d_(2m) d_(2m+1)
+        d_even = (m + 1) * (b - m - 1) * x / (ap * (ap + 1.0))
+        beta = y + (p0 + m * (p1 + 3 * m)) * x_den + d_even
+        d = beta + alpha * d
+        if -_CF_TINY < d < _CF_TINY:
+            d = _CF_TINY
+        c = beta + alpha / c
+        if -_CF_TINY < c < _CF_TINY:
+            c = _CF_TINY
+        d = 1.0 / d
+        step = c * d
+        f *= step
         if -_CF_EPS < step - 1.0 < _CF_EPS:
-            return h
+            return 1.0 - d_first / f
     raise ConvergenceError("t tail continued fraction did not converge")
 
 
@@ -176,10 +199,11 @@ def t_sf_two_sided(t: float, dof: int) -> float:
     x = dof / (dof + t^2) and y = 1 - x = t^2 / (dof + t^2) formed directly.
     For x < (a + 1) / (a + 2.5) it is evaluated from its continued fraction
     by the modified Lentz method (Numerical Recipes, section 6.4); otherwise
-    as 1 - I_y(1/2, a), whose fraction converges there. Against 30-digit
-    references the relative error stays below 2e-13 up to dof 10^3 and 4e-13
-    up to 10^4; beyond, it grows like dof * eps, because x is rounded next
-    to 1 (9e-11 at dof 5e6).
+    as 1 - I_y(1/2, a), whose fraction converges there. The fraction takes
+    every difference that cancels near x = 1 from y, so the error does not
+    grow with dof, though x is rounded next to 1 there: against 40-digit
+    mpmath references at 507 random points (dof from 1 to 10^12, |t| from
+    0.01 to 300) the relative error stayed below 1.5e-13.
     """
     if _finite("dof", dof) <= 0.0:
         raise InvalidParameterError("degrees of freedom must be positive and finite")
@@ -197,8 +221,8 @@ def t_sf_two_sided(t: float, dof: int) -> float:
                  - _HALF_LOG_PI + _lgamma_half_ratio(a))
     front = math.exp(log_front)
     if x < (a + 1.0) / (a + 2.5):
-        return front * _beta_cf(a, 0.5, x) / a
-    return 1.0 - 2.0 * front * _beta_cf(0.5, a, y)
+        return front * _beta_cf(a, 0.5, x, y) / a
+    return 1.0 - 2.0 * front * _beta_cf(0.5, a, y, x)
 
 
 def _worst_correlations(corr: CorrelationMatrix) -> np.ndarray:

@@ -89,6 +89,8 @@ def _integer(name: str, value) -> int:
 def _finite(name: str, value) -> float:
     """``value`` as a float; a bool, a non-real or a non-finite value
     raises, naming the field."""
+    if type(value) is float and math.isfinite(value):  # the common case, without an ABC check
+        return value
     if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
         return float(value)
     raise InvalidParameterError(f"{name} must be a finite number, got {value!r}", name)

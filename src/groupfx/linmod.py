@@ -33,6 +33,9 @@ RCOND_MIN = 1e-12
 
 INTERCEPT_NAME = "intercept"
 
+_FLOAT_MAX = float(np.finfo(np.float64).max)
+_FLOAT_TINY = float(np.finfo(np.float64).tiny)
+
 _OUT_OF_RANGE = ("design is numerically singular: the scale of a column or of the "
                  "response puts its fit outside the floating-point range")
 
@@ -69,15 +72,17 @@ class Dataset:
         if len(set(self.names)) != len(self.names):
             dup = next(s for i, s in enumerate(self.names) if s in self.names[:i])
             raise DataFormatError(f"duplicate column name {dup!r}")
-        if not np.all(np.isfinite(y)) or not np.all(np.isfinite(X)):
+        # the array methods skip the Python dispatch of np.all and np.any
+        if not np.isfinite(y).all() or not np.isfinite(X).all():
             raise DataFormatError("response and predictors must be finite")
         # np.allclose(X[:, 0], 1.0) written out: |x - 1| <= 1e-8 + 1e-5 * 1
-        if self.has_intercept and not np.all(np.abs(X[:, 0] - 1.0) <= 1e-8 + 1e-5):
+        if self.has_intercept and not (np.abs(X[:, 0] - 1.0) <= 1e-8 + 1e-5).all():
             raise DataFormatError("declared intercept column is not all ones")
         start = 1 if self.has_intercept else 0
-        constant = np.flatnonzero(X[:, start:].max(axis=0) == X[:, start:].min(axis=0))
-        if constant.size:
-            raise ZeroVarianceError(f"column {self.names[start + constant[0]]!r} "
+        predictors = X[:, start:]
+        constant = predictors.max(axis=0) == predictors.min(axis=0)
+        if constant.any():
+            raise ZeroVarianceError(f"column {self.names[start + int(np.argmax(constant))]!r} "
                                     "is constant but not the intercept")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "X", X)
@@ -192,7 +197,7 @@ def fit_ols(data: Dataset) -> OlsFit:
     # Column j of R has X's column norm, at most sqrt(q) max|R_ij|, and its
     # square must be finite (with a factor 2 to spare for roundoff).
     scale = np.abs(R).max(axis=0)
-    if not scale.max() <= math.sqrt(np.finfo(np.float64).max / (2 * q)):
+    if not scale.max() <= math.sqrt(_FLOAT_MAX / (2 * q)):
         raise SingularDesignError(_OUT_OF_RANGE)
     # rcond of X'X from the singular values of R, its columns scaled to a largest
     # magnitude of 1: within sqrt(q) of the best column scaling (van der Sluis 1969)
@@ -205,14 +210,14 @@ def fit_ols(data: Dataset) -> OlsFit:
         beta = np.linalg.solve(R, Q.T @ y)
         resid = y - X @ beta
         rss = float(resid @ resid)
-        r_inv = np.linalg.solve(R, np.eye(q))
+        r_inv = np.linalg.inv(R)  # gesv on the identity, as solve(R, eye(q)) runs it
         xtx_inv = r_inv @ r_inv.T  # numpy computes a @ a.T by syrk: exactly symmetric
     dof = n - q
     sigma2 = rss / dof
     # (X'X)^{-1} and sigma2 (X'X)^{-1}, whose entries their diagonals bound, must
     # be finite, with a normal diagonal (a NaN makes the sum NaN)
     diag = np.diagonal(xtx_inv).tolist()
-    if not (min(diag) >= np.finfo(np.float64).tiny and math.isfinite(sigma2 * sum(diag))):
+    if not (min(diag) >= _FLOAT_TINY and math.isfinite(sigma2 * sum(diag))):
         raise SingularDesignError(_OUT_OF_RANGE)
 
     return OlsFit(
@@ -239,7 +244,7 @@ def _check_group(group, q: int) -> list[int]:
     return idx
 
 
-def _centered_columns(data: Dataset, idx: list[int]):
+def _centered_columns(data: Dataset, idx: list[int] | np.ndarray):
     """Columns ``idx`` of X, centered, as (u, norms, e): centered column j is
     u_j 2^e_j and has L2 norm norms_j 2^e_j, where 2^-e_j brings column j's
     largest magnitude into [0.5, 1), so its sum of squares neither overflows
@@ -253,10 +258,12 @@ def _centered_columns(data: Dataset, idx: list[int]):
         If a centered column's L2 norm is beyond the floating-point range.
     """
     cols = data.X[:, idx]
-    e = np.frexp(np.abs(cols).max(axis=0))[1]
+    # the ufunc reductions are the ones max, mean and sum run, without their
+    # Python wrappers: the same bits
+    e = np.frexp(np.maximum.reduce(np.abs(cols), axis=0))[1]
     u = np.ldexp(cols, -e)
-    u -= u.mean(axis=0)
-    norms = np.sqrt(np.sum(u**2, axis=0))
+    u -= np.add.reduce(u, axis=0) / u.shape[0]
+    norms = np.sqrt(np.add.reduce(u * u, axis=0))
     # norms_j 2^e_j is finite while its exponent, norms_j's plus e_j, is <= 1024
     over = np.frexp(norms)[1] + e > 1024
     if over.any():
@@ -280,18 +287,21 @@ def correlation(data: Dataset, group) -> CorrelationMatrix:
                              names=tuple(data.names[j] for j in idx))
 
 
-def _correlation_arrays(data: Dataset, idx: list[int]):
+def _correlation_arrays(data: Dataset, idx: list[int] | np.ndarray):
     """The arrays of :func:`correlation` for checked column indices, as
     (R, s): R has a unit diagonal, entries in [-1, 1], and is exactly
     symmetric (numpy forms u'u by syrk), so CorrelationMatrix keeps its bits."""
     u, norms, e = _centered_columns(data, idx)
     s = np.ldexp(norms, e)
-    if np.any(s <= 0.0):
+    if (s <= 0.0).any():
         bad = data.names[idx[int(np.argmin(s))]]
         raise ZeroVarianceError(f"column {bad!r} has zero variance")
-    R = (u.T @ u) / np.outer(norms, norms)
+    R = (u.T @ u) / (norms[:, None] * norms)
     np.fill_diagonal(R, 1.0)
-    return np.clip(R, -1.0, 1.0), s
+    # clip to [-1, 1] in place; like np.clip, maximum and minimum keep a NaN
+    np.maximum(R, -1.0, out=R)
+    np.minimum(R, 1.0, out=R)
+    return R, s
 
 
 def standardize(data: Dataset, group) -> tuple[Dataset, np.ndarray]:

@@ -56,7 +56,7 @@ _EFFECT_LABELS = tuple(
 ) + tuple(f"beta{j}" for j in range(N_VARS + 1))
 
 
-_VARIABLE_COLUMNS = list(range(1, N_VARS + 1))  # variable j is X column j
+_VARIABLE_COLUMNS = np.arange(1, N_VARS + 1)  # variable j is X column j
 
 # The groups are contiguous runs of variables 1..10, so the group number of
 # each variable (entry j - 1 for variable j) is every group's number repeated
@@ -67,6 +67,9 @@ _GROUP_SLICES = tuple(slice(v[0], v[-1] + 1) for v in GROUPS.values())
 # so each group is one segment of corr[_SAME_GROUP], starting at _OFF_STARTS
 _SAME_GROUP = (_GROUP_OF[:, None] == _GROUP_OF) & ~np.eye(N_VARS, dtype=bool)
 _OFF_STARTS = np.cumsum([0] + [len(v) * (len(v) - 1) for v in GROUPS.values()])[:-1]
+# the weighted-effect row of each variable's group, where run_case writes the
+# variable's variability weight
+_WEIGHTED_ROWS = 2 * _GROUP_OF + 1
 
 
 def _weight_template() -> np.ndarray:
@@ -263,7 +266,7 @@ def run_case(config: SimCaseConfig) -> SimReport:
     # right from 0.0, so a group's sum has the bits of s[cols].sum()
     w_var = sds / np.bincount(_GROUP_OF, weights=sds)[_GROUP_OF]
     weight_rows = _WEIGHT_TEMPLATE.copy()
-    weight_rows[2 * _GROUP_OF + 1, _VARIABLE_COLUMNS] = w_var
+    weight_rows[_WEIGHTED_ROWS, _VARIABLE_COLUMNS] = w_var
     # eight small dots, not one gemv, keep the bits of w @ beta[cols]
     truths = []
     for g, cols in enumerate(_GROUP_SLICES):

@@ -128,6 +128,18 @@ class TestTTail:
                 checked += 1
         assert checked > 1500
 
+    @pytest.mark.parametrize("dof", [10**5, 4938130, 10**8])
+    @pytest.mark.parametrize("t", [2.0, 3.62, 8.0])
+    def test_huge_dof_against_mpmath(self, t, dof):
+        # x = dof / (dof + t^2) is rounded next to 1 here; a fraction formed
+        # from it loses about dof * eps (2e-10 at dof 4938130, t = 2)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            d, t2 = mpmath.mpf(dof), mpmath.mpf(t) ** 2
+            expected = float(mpmath.betainc(d / 2, 0.5, 0, d / (d + t2), regularized=True))
+        for signed in (t, -t):
+            assert t_sf_two_sided(signed, dof) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_properties(self):
         grid = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 300)])
         for dof in (1, 2, 3, 7, 30, 49, 120, 1000, 10**5):

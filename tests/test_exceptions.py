@@ -32,6 +32,7 @@ from groupfx import (
     t_sf_two_sided,
     table1,
 )
+from groupfx.exceptions import _finite
 from conftest import BAD_SIM_FIELDS, uniform_design_dataset
 
 PROBLEM = ClrProblem(w=WeightVector.average(2), tau_hat=1.0)
@@ -186,3 +187,25 @@ def test_numpy_integers_are_accepted_as_ints():
     got = solve_clr(DATA, group, selection="kfold", n_folds=np.int64(3), seed=np.int32(4))
     want = solve_clr(DATA, [0, 1, 2], selection="kfold", n_folds=3, seed=4)
     assert np.array_equal(got.chosen, want.chosen)
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize("value, want", [
+    (0.25, 0.25), (-3.0, -3.0), (np.float64(2.5), 2.5), (3, 3.0), (np.int64(-4), -4.0),
+    (_Float(1.5), 1.5),
+])
+def test_finite_returns_a_plain_float(value, want):
+    got = _finite("x", value)
+    assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), float("nan"), -np.inf, np.inf,
+                                   np.float64("nan"), _Float("nan"), _Float("-inf"), "1.0",
+                                   None, 1j])
+def test_finite_rejects_a_bool_a_non_real_or_a_non_finite_value(value):
+    with pytest.raises(InvalidParameterError, match="^x must be a finite number, got ") as exc:
+        _finite("x", value)
+    assert exc.value.name == "x"

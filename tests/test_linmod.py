@@ -21,6 +21,7 @@ from groupfx import (
     correlation,
     estimate_effect,
     fit_ols,
+    generate_design,
     load_csv,
     paper_case_config,
     run_case,
@@ -418,6 +419,82 @@ class TestStandardize:
                        names=("a", "b"))
         with pytest.raises(ValueError):
             standardize(data, [0, 1])
+
+
+def _long_hand_centered_columns(data, idx):
+    cols = data.X[:, idx]
+    e = np.frexp(np.abs(cols).max(axis=0))[1]
+    u = np.ldexp(cols, -e)
+    u -= u.mean(axis=0)
+    return u, np.sqrt(np.sum(u**2, axis=0)), e
+
+
+def _long_hand_correlation_arrays(data, idx):
+    u, norms, e = _long_hand_centered_columns(data, idx)
+    R = (u.T @ u) / np.outer(norms, norms)
+    np.fill_diagonal(R, 1.0)
+    return np.clip(R, -1.0, 1.0), np.ldexp(norms, e)
+
+
+def _long_hand_fit(data):
+    Q, R = np.linalg.qr(data.X)
+    beta = np.linalg.solve(R, Q.T @ data.y)
+    resid = data.y - data.X @ beta
+    r_inv = np.linalg.solve(R, np.eye(data.q))
+    return {"Q": Q, "R": R, "beta_hat": beta, "xtx_inv": r_inv @ r_inv.T,
+            "rss": np.float64(resid @ resid)}
+
+
+def _long_hand_designs(case):
+    """Intercepted designs: random ones, with columns scaled by powers of 2
+    and of 10 so that their exponents differ, or a paper design at n = 15."""
+    if case.startswith("paper"):
+        return [generate_design(paper_case_config(int(case[-1]), seed=3))]
+    rng = np.random.default_rng(int(case[-1]))
+    designs = []
+    for _ in range(20):
+        n, k = int(rng.integers(8, 120)), int(rng.integers(2, 7))
+        cols = rng.standard_normal((n, k)) @ rng.standard_normal((k, k))
+        cols *= np.ldexp(1.0, rng.integers(-40, 41, k)) * 10.0 ** rng.integers(-3, 4, k)
+        y = cols @ rng.standard_normal(k) + rng.standard_normal(n)
+        designs.append(Dataset.from_columns(y, list(cols.T), [f"x{j}" for j in range(k)]))
+    return designs
+
+
+class TestLongHandBits:
+    """The linear-model hot path calls numpy's ufuncs where the long-hand
+    forms (mean, sum, outer, clip, solve with the identity) go through
+    Python wrappers; the bits must be those of the long-hand forms."""
+
+    @pytest.mark.parametrize("case", [f"random{i}" for i in range(4)]
+                             + [f"paper{c}" for c in range(1, 6)])
+    def test_outputs_equal_the_long_hand_forms(self, case):
+        for data in _long_hand_designs(case):
+            idx = list(range(1, data.q))
+            for got, want in zip(groupfx.linmod._centered_columns(data, idx),
+                                 _long_hand_centered_columns(data, idx)):
+                assert got.tobytes() == want.tobytes()
+            want_R, want_s = _long_hand_correlation_arrays(data, idx)
+            for columns in (idx, np.array(idx)):  # run_case passes an index array
+                got_R, got_s = groupfx.linmod._correlation_arrays(data, columns)
+                assert got_R.tobytes() == want_R.tobytes()
+                assert got_s.tobytes() == want_s.tobytes()
+            corr = correlation(data, idx)
+            assert corr.values.tobytes() == want_R.tobytes()
+            assert corr.column_sds.tobytes() == want_s.tobytes()
+
+            # the group is the first two predictors, columns 0 and 1 of u
+            out, scales = standardize(data, idx[:2])
+            u, norms, e = _long_hand_centered_columns(data, idx)
+            want_X = np.ldexp(u, e)
+            want_X[:, :2] = u[:, :2] / norms[:2]
+            assert out.X.tobytes() == want_X.tobytes()
+            assert scales.tobytes() == np.ldexp(norms[:2], e[:2]).tobytes()
+            assert out.y.tobytes() == (data.y - data.y.mean()).tobytes()
+
+            fit = fit_ols(data)
+            for name, want in _long_hand_fit(data).items():
+                assert np.asarray(getattr(fit, name)).tobytes() == want.tobytes(), name
 
 
 class TestLoadCsv:
