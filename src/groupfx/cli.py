@@ -11,10 +11,14 @@ Across thread counts the printed digits of the paper suite and of a k-fold
 thousands) can differ in their last place, so a value on a rounding
 boundary of its eighth digit could print differently.
 
+Each option has one name: its argparse dest, which is also its ``--config``
+key and its key in :attr:`RunConfig.options`.
+
 Exit status: 0 on success, 1 on data/runtime errors, 2 on usage errors.
-The library states each parameter's valid range; a value it rejects under
-the name of one of the subcommand's options is a usage error that names
-the flag the value came from.
+Every exit-1 error, a file or memory error included, prints one JSON object
+on stderr. The library states each parameter's valid range; a value it
+rejects under the name of one of the subcommand's options is a usage error
+that names the flag the value came from.
 """
 
 from __future__ import annotations
@@ -72,18 +76,19 @@ def _round8(obj):
 
 @dataclass
 class RunConfig:
-    """Parsed invocation: one subcommand plus its settings."""
+    """Parsed invocation: one subcommand plus its options.
+
+    ``options`` is keyed by each option's dest, which is also its config
+    key, and holds the merged, typed value (flag > config file > default).
+    ``group`` holds one list of member tokens per group and ``c_offset`` a
+    list of numbers; ``r_values``, the correlation levels of ``uniform``, is
+    the one key that no option has."""
 
     subcommand: str
-    input_path: str | None = None
-    response: str | None = None
-    seed: int = 0
-    format: str = "csv"
-    out: str | None = None
-    options: dict = field(default_factory=dict)
+    options: dict
     # the flag of each option by its dest, and of each library parameter that
     # stands for an option by the parameter's name
-    _flags: dict = field(default_factory=dict, repr=False)
+    _flags: dict = field(repr=False)
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -115,7 +120,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common(sp)
 
     sp = sub.add_parser("analyze", help="group-effect table for a CSV dataset")
-    add(sp, "--csv", dest="csv")
+    add(sp, "--csv")
     add(sp, "--response")
     add(sp, "--group", action="append", default=[],
         help="comma-separated predictor names or 1-based positions; repeatable")
@@ -135,7 +140,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common(sp)
 
     sp = sub.add_parser("clr", help="constrained local regression")
-    add(sp, "--csv", dest="csv")
+    add(sp, "--csv")
     add(sp, "--response")
     add(sp, "--group", action="append", default=[])
     add(sp, "--anchor")
@@ -243,6 +248,10 @@ def _parse_groups(raw_groups) -> list[list[str]]:
     return groups
 
 
+# The options that no default can stand in for, and what each names.
+_REQUIRED = {"csv": "an input file", "response": "a response column name"}
+
+
 def parse_args(argv=None) -> RunConfig:
     """Parse the command line into a :class:`RunConfig`.
 
@@ -255,77 +264,43 @@ def parse_args(argv=None) -> RunConfig:
     if ns.subcommand is None:
         raise UsageError("a subcommand is required: uniform, analyze, simulate or clr")
 
-    merged = _merge(ns, actions[ns.subcommand])
-    flags = {dest: action.option_strings[0]
-             for dest, (action, _) in actions[ns.subcommand].items()}
-    config = RunConfig(subcommand=ns.subcommand, format=merged["format"],
-                       out=merged.get("out"), _flags=flags)
+    actions = actions[ns.subcommand]
+    opts = _merge(ns, actions)
+    flags = {dest: action.option_strings[0] for dest, (action, _) in actions.items()}
+    for dest, what in _REQUIRED.items():
+        if dest in opts and not opts[dest]:
+            raise UsageError(f"{flags[dest]}: {what} is required")
+    if "group" in opts:
+        opts["group"] = _parse_groups(opts["group"] or [])
 
     if ns.subcommand == "uniform":
-        if merged["r"] is not None and merged["r_list"] is not None:
+        if opts["r"] is not None and opts["r_list"] is not None:
             raise UsageError("--r and --r-list are mutually exclusive")
-        if merged["r"] is not None:
-            r_values = [float(merged["r"])]
-        elif merged["r_list"] is not None:
-            r_values = _parse_floats(merged["r_list"], "--r-list")
+        if opts["r"] is not None:
+            opts["r_values"] = [opts["r"]]
+        elif opts["r_list"] is not None:
+            opts["r_values"] = _parse_floats(opts["r_list"], "--r-list")
             flags["r"] = flags["r_list"]
         else:
-            r_values = list(TABLE1_R_VALUES)
-        config.options = {"p": int(merged["p"]), "r_values": r_values,
-                          "sigma2": float(merged["sigma2"])}
-
-    elif ns.subcommand == "analyze":
-        if not merged["csv"]:
-            raise UsageError("--csv: an input file is required")
-        if not merged["response"]:
-            raise UsageError("--response: a response column name is required")
-        config.input_path = merged["csv"]
-        config.response = merged["response"]
-        config.options = {
-            "group_tokens": _parse_groups(merged["group"] or []),
-            "anchor_token": merged["anchor"],
-        }
+            opts["r_values"] = list(TABLE1_R_VALUES)
 
     elif ns.subcommand == "simulate":
-        if merged["case"] is None and not merged["paper_suite"]:
-            if merged["w1"] is None or merged["w2"] is None:
+        if opts["case"] is None and not opts["paper_suite"]:
+            if opts["w1"] is None or opts["w2"] is None:
                 raise UsageError("--case: choose a case 1..5, --paper-suite, "
                                  "or give both --w1 and --w2")
-        if merged["paper_suite"] and merged["case"] is not None:
+        if opts["paper_suite"] and opts["case"] is not None:
             raise UsageError("--case and --paper-suite are mutually exclusive")
-        if merged["paper_suite"] and (merged["w1"] is not None or merged["w2"] is not None):
+        if opts["paper_suite"] and (opts["w1"] is not None or opts["w2"] is not None):
             raise UsageError("--w1 and --w2 do not apply to --paper-suite")
-        config.seed = merged["seed"]
-        config.options = {
-            "case": merged["case"],
-            "paper_suite": bool(merged["paper_suite"]),
-            "w1": merged["w1"],
-            "w2": merged["w2"],
-            "replicates": int(merged["replicates"]),
-            "n": int(merged["n"]),
-        }
 
     elif ns.subcommand == "clr":
-        if not merged["csv"]:
-            raise UsageError("--csv: an input file is required")
-        if not merged["response"]:
-            raise UsageError("--response: a response column name is required")
-        groups = _parse_groups(merged["group"] or [])
-        if len(groups) != 1:
+        if len(opts["group"]) != 1:
             raise UsageError("--group: exactly one group is required")
+        opts["c_offset"] = _parse_floats(opts["c_offset"], "--c-offset")
         flags["n_folds"] = flags["folds"]
-        config.input_path = merged["csv"]
-        config.response = merged["response"]
-        config.seed = merged["seed"]
-        config.options = {
-            "group_tokens": groups,
-            "anchor_token": merged["anchor"],
-            "c_offsets": _parse_floats(merged["c_offset"], "--c-offset"),
-            "select": merged["select"],
-            "folds": int(merged["folds"]),
-        }
 
-    return config
+    return RunConfig(ns.subcommand, opts, flags)
 
 
 def _resolve_columns(data: Dataset, tokens, flag: str) -> list[int]:
@@ -379,7 +354,8 @@ def run_uniform(config: RunConfig) -> tuple[list, dict]:
 
 
 def run_analyze(config: RunConfig) -> tuple[list, dict]:
-    data = load_csv(config.input_path, config.response)
+    opts = config.options
+    data = load_csv(opts["csv"], opts["response"])
     fit = fit_ols(data)
     rows = []
     for j in range(data.q):
@@ -388,10 +364,10 @@ def run_analyze(config: RunConfig) -> tuple[list, dict]:
 
     diagnostics = {"n": data.n, "q": data.q, "dof": fit.dof,
                    "sigma2_hat": fit.sigma2_hat, "groups": []}
-    for tokens in config.options["group_tokens"]:
+    for tokens in opts["group"]:
         idx = _resolve_columns(data, tokens, "--group")
         corr = correlation(data, idx)
-        anchor = _resolve_anchor(data, idx, config.options.get("anchor_token"))
+        anchor = _resolve_anchor(data, idx, opts["anchor"])
         signs = apc_arrangement(corr, anchor)
         w_w = variability_weights(corr)
         w_a = WeightVector.average(len(idx))
@@ -419,22 +395,17 @@ def run_analyze(config: RunConfig) -> tuple[list, dict]:
 
 def run_simulate(config: RunConfig) -> tuple[list, dict]:
     opts = config.options
+    size = {k: opts[k] for k in ("seed", "replicates", "n")}
     if opts["paper_suite"]:
-        suite = sim_mod.run_paper_suite(seed=config.seed,
-                                        replicates=opts["replicates"], n=opts["n"])
+        suite = sim_mod.run_paper_suite(**size)
         reports, checks = suite.reports, suite.checks
     else:
         if opts["case"] is not None:
-            case_config = sim_mod.paper_case_config(
-                opts["case"], seed=config.seed, replicates=opts["replicates"], n=opts["n"]
-            )
             weights = {k: opts[k] for k in ("w1", "w2") if opts[k] is not None}
-            case_config = replace(case_config, **weights)
+            case_config = replace(sim_mod.paper_case_config(opts["case"], **size), **weights)
         else:
-            case_config = sim_mod.SimCaseConfig(
-                w1=opts["w1"], w2=opts["w2"], n=opts["n"],
-                replicates=opts["replicates"], seed=config.seed, label="custom",
-            )
+            case_config = sim_mod.SimCaseConfig(w1=opts["w1"], w2=opts["w2"], label="custom",
+                                                **size)
         reports, checks = [sim_mod.run_case(case_config)], ()
 
     tables = [(("case", "effect", "mean", "variance"),
@@ -465,15 +436,15 @@ def run_simulate(config: RunConfig) -> tuple[list, dict]:
 
 def run_clr(config: RunConfig) -> tuple[list, dict]:
     opts = config.options
-    data = load_csv(config.input_path, config.response)
-    idx = _resolve_columns(data, opts["group_tokens"][0], "--group")
-    anchor = _resolve_anchor(data, idx, opts.get("anchor_token"))
+    data = load_csv(opts["csv"], opts["response"])
+    idx = _resolve_columns(data, opts["group"][0], "--group")
+    anchor = _resolve_anchor(data, idx, opts["anchor"])
     settings = {"selection": opts["select"], "n_folds": opts["folds"],
-                "seed": config.seed, "anchor": anchor}
-    if len(opts["c_offsets"]) == 1:
-        sol = clr_mod.solve_clr(data, idx, c_offset=opts["c_offsets"][0], **settings)
+                "seed": opts["seed"], "anchor": anchor}
+    if len(opts["c_offset"]) == 1:
+        sol = clr_mod.solve_clr(data, idx, c_offset=opts["c_offset"][0], **settings)
     else:
-        sol = clr_mod.solve_clr_best_offset(data, idx, opts["c_offsets"], **settings)
+        sol = clr_mod.solve_clr_best_offset(data, idx, opts["c_offset"], **settings)
 
     names = data.names
     rows = [("tau_hat", "", sol.problem.tau_hat),
@@ -534,9 +505,9 @@ def main(argv=None) -> int:
     try:
         config = parse_args(argv)
         report = _RUNNERS[config.subcommand](config)
-        payload = render_report(report, config.format)
-        if config.out:
-            with open(config.out, "wb") as fh:
+        payload = render_report(report, config.options["format"])
+        if config.options["out"]:
+            with open(config.options["out"], "wb") as fh:
                 fh.write(payload)
         else:
             sys.stdout.buffer.write(payload)
@@ -544,17 +515,16 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"groupfx: {exc}", file=sys.stderr)
         return 2
-    except GroupFxError as exc:
-        flag = config and config._flags.get(getattr(exc, "name", None))
+    except (GroupFxError, OSError, MemoryError) as exc:
+        flag = (isinstance(exc, GroupFxError) and config
+                and config._flags.get(getattr(exc, "name", None)))
         if flag:
             print(f"groupfx: {flag}: {exc}", file=sys.stderr)
             return 2
-        err = {"schema_version": SCHEMA_VERSION, "error": type(exc).__name__,
-               "message": str(exc)}
+        # numpy refuses a huge array with a private MemoryError subclass
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        err = {"schema_version": SCHEMA_VERSION, "error": name, "message": str(exc)}
         print(json.dumps(err), file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"groupfx: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -346,7 +346,13 @@ def run_paper_suite(seed: int = 0, replicates: int = 1000, n: int = 15) -> Paper
     qualitative claims: the weighted effect of a correlated group gains
     accuracy as correlation grows, beats the average effect of an equally
     sized uncorrelated group, needs the APC arrangement, survives unequal
-    variability, and the damage of strong correlation stays local."""
+    variability, and the damage of strong correlation stays local.
+
+    The last check, ``multicollinearity_stays_local``, tests an identity of
+    exact arithmetic: cases 1 and 3 share their normals and their noise, and
+    each group's columns are an invertible mix of that group's own normals,
+    so no column span moves between them and the variances of beta6..beta10
+    agree. It cannot fail beyond roundoff."""
     if _integer("replicates", replicates) < 2:  # the checks compare variances, 0 at one replicate
         raise InvalidParameterError(f"the paper suite needs >= 2 replicates, got {replicates}",
                                     "replicates")

@@ -51,6 +51,60 @@ _GOLDEN_RUNS = {
 }
 
 
+# Every option of every subcommand, by dest: its flag's arguments, the same
+# setting as a --config value, and the value parse_args puts under the dest.
+_ONE_NAME = {
+    "uniform": {
+        "p": (["--p", "6"], 6, 6),
+        "r": (["--r", "0.5"], 0.5, 0.5),
+        "r_list": (["--r-list", "0.1,0.2"], "0.1,0.2", "0.1,0.2"),
+        "sigma2": (["--sigma2", "2"], 2, 2.0),
+        "format": (["--format", "json"], "json", "json"),
+        "out": (["--out", "t.csv"], "t.csv", "t.csv"),
+    },
+    "analyze": {
+        "csv": (["--csv", "other.csv"], "other.csv", "other.csv"),
+        "response": (["--response", "z"], "z", "z"),
+        "group": (["--group", "3,4,5", "--group", "x1,x2"], ["3,4,5", "x1,x2"],
+                  [["3", "4", "5"], ["x1", "x2"]]),
+        "anchor": (["--anchor", "4"], 4, "4"),
+        "format": (["--format", "json"], "json", "json"),
+        "out": (["--out", "t.csv"], "t.csv", "t.csv"),
+    },
+    "simulate": {
+        "case": (["--case", "3"], 3, 3),
+        "paper_suite": (["--paper-suite"], True, True),
+        "w1": (["--w1", "0.5"], 0.5, 0.5),
+        "w2": (["--w2", "0.25"], "0.25", 0.25),
+        "replicates": (["--replicates", "10"], 10.0, 10),
+        "n": (["--n", "20"], 20, 20),
+        "seed": (["--seed", "7"], 7, 7),
+        "format": (["--format", "json"], "json", "json"),
+        "out": (["--out", "t.csv"], "t.csv", "t.csv"),
+    },
+    "clr": {
+        "csv": (["--csv", "other.csv"], "other.csv", "other.csv"),
+        "response": (["--response", "z"], "z", "z"),
+        "group": (["--group", "x1,x2"], [["x1", "x2"]], [["x1", "x2"]]),
+        "anchor": (["--anchor", "x2"], "x2", "x2"),
+        "c_offset": (["--c-offset", "1,3"], [1, 3], [1.0, 3.0]),
+        "select": (["--select", "kfold"], "kfold", "kfold"),
+        "folds": (["--folds", "10"], 10, 10),
+        "seed": (["--seed", "7"], 7, 7),
+        "format": (["--format", "csv"], "csv", "csv"),
+        "out": (["--out", "t.csv"], "t.csv", "t.csv"),
+    },
+}
+# the arguments each subcommand needs, by dest
+_BASE_ARGS = {
+    "uniform": {},
+    "analyze": {"csv": ["--csv", "data.csv"], "response": ["--response", "y"]},
+    "simulate": {"case": ["--case", "1"]},
+    "clr": {"csv": ["--csv", "data.csv"], "response": ["--response", "y"],
+            "group": ["--group", "3,4,5"]},
+}
+
+
 def run_main(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -80,7 +134,7 @@ class TestParseArgs:
     def test_simulate_case_and_seed(self):
         config = parse_args(["simulate", "--case", "3", "--seed", "42"])
         assert config.options["case"] == 3
-        assert config.seed == 42
+        assert config.options["seed"] == 42
         assert config.options["replicates"] == 1000
 
     def test_simulate_needs_some_case(self):
@@ -104,13 +158,32 @@ class TestParseArgs:
         config = parse_args(["uniform", "--config", str(cfg), "--p", "6"])
         assert config.options["p"] == 6          # flag wins
         assert config.options["sigma2"] == 2.0   # config fills the gap
-        assert config.format == "json"
+        assert config.options["format"] == "json"
 
     def test_bad_config_file(self, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
         with pytest.raises(UsageError, match="--config"):
             parse_args(["uniform", "--p", "8", "--config", str(cfg)])
+
+    def test_option_table_covers_every_option(self):
+        for subcommand, table in _ONE_NAME.items():
+            argv = [subcommand, *(tok for toks in _BASE_ARGS[subcommand].values() for tok in toks)]
+            assert set(parse_args(argv).options) - {"r_values"} == set(table)
+
+    @pytest.mark.parametrize("subcommand, dest",
+                             [(sub, dest) for sub, table in _ONE_NAME.items() for dest in table])
+    def test_flag_and_config_key_land_under_one_name(self, subcommand, dest, tmp_path):
+        flag_args, cfg_value, expected = _ONE_NAME[subcommand][dest]
+        # --paper-suite cannot take the --case 1 that the other simulate runs need
+        base = [tok for key, toks in _BASE_ARGS[subcommand].items()
+                if key != dest and dest != "paper_suite" for tok in toks]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({dest: cfg_value}))
+        by_flag = parse_args([subcommand, *base, *flag_args]).options
+        by_config = parse_args([subcommand, *base, "--config", str(path)]).options
+        assert by_flag[dest] == by_config[dest] == expected
+        assert by_flag == by_config
 
 
 class TestRenderReport:
@@ -172,6 +245,25 @@ class TestMainExitCodes:
         code, out, err = run_main(["analyze", "--csv", "/nonexistent.csv",
                                    "--response", "y"], capsys)
         assert code == 1
+        obj = json.loads(err.strip())
+        assert obj["schema_version"] == 1
+        assert obj["error"] == "FileNotFoundError"
+        assert "/nonexistent.csv" in obj["message"]
+
+    def test_unwritable_out_path_is_1(self, tmp_path, capsys):
+        code, out, err = run_main(["uniform", "--out", str(tmp_path / "no" / "t.csv")],
+                                  capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err.strip())["error"] == "FileNotFoundError"
+
+    def test_refused_allocation_is_structured_runtime_error(self, capsys):
+        # n = 10^17 - 1 asks numpy for a 7 EiB design, which it refuses at
+        # once with a private MemoryError subclass
+        code, out, err = run_main(["simulate", "--case", "2", "--n", "99999999999999999"],
+                                  capsys)
+        assert (code, out) == (1, "")
+        obj = json.loads(err.strip())
+        assert obj["error"] == "MemoryError" and "EiB" in obj["message"]
 
     def test_bad_data_is_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
